@@ -4,7 +4,6 @@ from .bench import BenchConfig, BenchRow, fit_loglog_slope, load_bench_config, r
 from .checks import CheckResult, verify
 from .classical import ClassicalLearnResult, draw_iid_samples, erm_learn, hoeffding_sample_size
 from .engine import (
-    AEOutcome,
     CapacityError,
     QubitLayout,
     QueryLedger,
@@ -13,9 +12,7 @@ from .engine import (
     loss_encoded_state,
     marked_probability,
     prepare_data_state,
-    sample_ae_outcome,
     simulate_ae_distribution,
-    simulate_ae_run,
 )
 from .estimator import (
     EstimateResult,
@@ -41,7 +38,6 @@ from .problem import (
     make_instance,
     random_instance,
     regression_and_variance,
-    rescale_loss,
     save_instance,
     squared_risk_decomposition,
 )

@@ -171,12 +171,12 @@ def check_argmin_transfer(n_triples: int, seed: int) -> CheckResult:
 
 def verify(quick: bool = False, seed: int = 20240, qubit_cap: int = DEFAULT_QUBIT_CAP) -> list[CheckResult]:
     """Run every bundled check; all-pass means the build is self-consistent."""
-    scale = 1 if quick else 4
+    n = 1 if quick else 4
     return [
-        check_marked_mass_identity(5 * scale, seed, qubit_cap),
-        check_risk_decomposition(8 * scale, seed + 1),
+        check_marked_mass_identity(5 * n, seed, qubit_cap),
+        check_risk_decomposition(8 * n, seed + 1),
         check_ae_interval_mass((3, 4) if quick else (3, 4, 5, 6), qubit_cap),
-        check_oracle_equivalence(3 * scale, seed + 2, qubit_cap),
-        check_garbage_invariance(2 * scale, seed + 3, qubit_cap),
-        check_argmin_transfer(500 * scale, seed + 4),
+        check_oracle_equivalence(3 * n, seed + 2, qubit_cap),
+        check_garbage_invariance(2 * n, seed + 3, qubit_cap),
+        check_argmin_transfer(500 * n, seed + 4),
     ]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemInstance, loss_value
+from .problem import ProblemInstance
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,7 @@ def draw_iid_samples(
 
 def loss_matrix(inst: ProblemInstance) -> np.ndarray:
     """Loss values on the original scale, hypotheses by support codes."""
-    return np.array(
-        [[loss_value(inst.loss, f, z) for z in inst.support] for f in inst.hypotheses]
-    )
+    return inst.losses
 
 
 def erm_learn(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import Hypothesis, ProblemInstance, loss_value, rescale_loss
+from .problem import Hypothesis, ProblemInstance
 
 DEFAULT_QUBIT_CAP = 24
 NORM_TOL = 1e-10
@@ -63,8 +63,6 @@ class QueryLedger:
 
     a_calls: int = 0
     a_inv_calls: int = 0
-    w_calls: int = 0
-    w_inv_calls: int = 0
 
     @property
     def quantum_samples(self) -> int:
@@ -74,8 +72,6 @@ class QueryLedger:
     def add(self, other: "QueryLedger") -> None:
         self.a_calls += other.a_calls
         self.a_inv_calls += other.a_inv_calls
-        self.w_calls += other.w_calls
-        self.w_inv_calls += other.w_inv_calls
 
 
 def run_ledger(m: int) -> QueryLedger:
@@ -85,16 +81,7 @@ def run_ledger(m: int) -> QueryLedger:
     there are 2^m - 1 reflections, so a_calls + a_inv_calls = 2^(m+1) - 1.
     """
     t = 2**m
-    return QueryLedger(a_calls=t, a_inv_calls=t - 1, w_calls=t, w_inv_calls=t - 1)
-
-
-@dataclass(frozen=True)
-class AEOutcome:
-    """One amplitude-estimation measurement."""
-
-    y: int
-    a_hat: float
-    ledger: QueryLedger
+    return QueryLedger(a_calls=t, a_inv_calls=t - 1)
 
 
 def _check_norm(state: np.ndarray) -> None:
@@ -131,10 +118,9 @@ def prepare_data_state(
 
 
 def _rescaled_losses(inst: ProblemInstance, f: Hypothesis) -> np.ndarray:
-    loss, _ = rescale_loss(inst.loss)
+    """Loss row of f divided by the bound, padded to the data register."""
     vals = np.zeros(2**inst.k)
-    for code, z in enumerate(inst.support):
-        vals[code] = loss_value(loss, f, z)
+    vals[: len(inst.support)] = inst.losses[inst.row(f)] / inst.loss.bound
     if vals.min() < 0.0 or vals.max() > 1.0:
         raise ValueError(
             f"rescaled loss values must lie in [0, 1], got range "
@@ -252,23 +238,6 @@ def estimate_from_phase(y: int, m: int) -> float:
     return math.sin(math.pi * y / 2**m) ** 2
 
 
-def simulate_ae_run(
-    inst: ProblemInstance,
-    f: Hypothesis,
-    m: int,
-    rng: np.random.Generator | int | None = None,
-    garbage_mode: bool = False,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
-) -> AEOutcome:
-    """One simulated run: full circuit, one phase-register measurement."""
-    rng = np.random.default_rng(rng)
-    dist = simulate_ae_distribution(
-        inst, f, m, garbage_mode=garbage_mode, rng=rng, qubit_cap=qubit_cap
-    )
-    y = draw_outcome(dist, rng)
-    return AEOutcome(y=y, a_hat=estimate_from_phase(y, m), ledger=run_ledger(m))
-
-
 def _phase_kernel(delta: np.ndarray, t: int) -> np.ndarray:
     """Squared magnitude of the phase-estimation kernel at offset delta."""
     num = np.sin(np.pi * t * delta) ** 2
@@ -295,16 +264,6 @@ def closed_form_ae_distribution(a: float, m: int) -> np.ndarray:
     phi = math.asin(math.sqrt(a)) / math.pi
     y = np.arange(t)
     return 0.5 * (_phase_kernel(y / t - phi, t) + _phase_kernel(y / t + phi, t))
-
-
-def sample_ae_outcome(
-    a: float, m: int, rng: np.random.Generator | int | None = None
-) -> AEOutcome:
-    """Draw one outcome from the closed-form law; same ledger as a simulated run."""
-    rng = np.random.default_rng(rng)
-    dist = closed_form_ae_distribution(a, m)
-    y = draw_outcome(dist, rng)
-    return AEOutcome(y=y, a_hat=estimate_from_phase(y, m), ledger=run_ledger(m))
 
 
 def ae_error_bound(a: float, m: int) -> float:

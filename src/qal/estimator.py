@@ -22,7 +22,7 @@ from .engine import (
     run_ledger,
     simulate_ae_distribution,
 )
-from .problem import Hypothesis, ProblemInstance, exact_risk, rescale_loss
+from .problem import Hypothesis, ProblemInstance, exact_risk
 
 ENGINE_MODES = ("statevector", "analytic")
 
@@ -127,11 +127,8 @@ def estimate_mean(
     independent child streams of rng (one uniform deviate each) so the
     merge is order-insensitive and reproducible.
     """
-    if isinstance(f, str):
-        f = inst.hypothesis(f)
-    elif f not in inst.hypotheses:
-        raise ValueError(f"hypothesis {f.id!r} is not part of the instance")
-    _, bound = rescale_loss(inst.loss)
+    f = inst.hypothesis(f)
+    bound = inst.loss.bound
     if not 0.0 < epsilon < bound:
         raise ValueError(f"epsilon must lie in (0, {bound}) on the original loss scale, got {epsilon}")
     m = phase_bits_for_accuracy(epsilon / bound, max_bits=qubit_cap - (inst.k + 1))

@@ -7,13 +7,15 @@ variance) is a finite sum here, so it can be computed exactly and used as
 an oracle.
 
 Support points carry a dense code 0..len(support)-1; the data register of
-the quantum engine indexes basis states by that code.
+the quantum engine indexes basis states by that code. Each instance holds
+its loss matrix (hypotheses by support codes) and the exact risks, computed
+once on construction; every risk, loss rotation and ERM reads them.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,9 +49,6 @@ class Hypothesis:
     id: str
     table: tuple[float, ...]
 
-    def value(self, x: int) -> float:
-        return self.table[x]
-
 
 @dataclass(frozen=True)
 class LossSpec:
@@ -57,32 +56,31 @@ class LossSpec:
 
     kind "zero_one" is the exact-mismatch indicator, "squared" is
     (f(x) - y)^2, "table" looks values up per (hypothesis id, x, y_index).
-    Evaluated values are raw values divided by `scale`; rescaling to bound
-    one is expressed by moving the old bound into `scale`.
     """
 
     kind: str
     bound: float
     table: dict[str, tuple[tuple[float, ...], ...]] | None = None
-    scale: float = 1.0
 
-    def raw_value(self, f: Hypothesis, z: SupportPoint) -> float:
-        if self.kind == "zero_one":
-            return 1.0 if f.table[z.x] != z.y else 0.0
-        if self.kind == "squared":
-            d = f.table[z.x] - z.y
-            return d * d
-        if self.kind == "table":
-            per_hyp = self.table.get(f.id) if self.table else None
-            if per_hyp is None:
-                raise ValidationError(f"loss.table: no entry for hypothesis {f.id!r}")
-            try:
-                return per_hyp[z.x][z.y_index]
-            except IndexError:
-                raise ValidationError(
-                    f"loss.table[{f.id!r}]: missing entry for (x={z.x}, y_index={z.y_index})"
-                ) from None
-        raise ValidationError(f"loss.kind: unknown kind {self.kind!r}")
+
+def loss_value(loss: LossSpec, f: Hypothesis, z: SupportPoint) -> float:
+    """Evaluate the loss of hypothesis f at support point z (original scale)."""
+    if loss.kind == "zero_one":
+        return 1.0 if f.table[z.x] != z.y else 0.0
+    if loss.kind == "squared":
+        d = f.table[z.x] - z.y
+        return d * d
+    if loss.kind == "table":
+        per_hyp = loss.table.get(f.id) if loss.table else None
+        if per_hyp is None:
+            raise ValidationError(f"loss.table: no entry for hypothesis {f.id!r}")
+        try:
+            return per_hyp[z.x][z.y_index]
+        except IndexError:
+            raise ValidationError(
+                f"loss.table[{f.id!r}]: missing entry for (x={z.x}, y_index={z.y_index})"
+            ) from None
+    raise ValidationError(f"loss.kind: unknown kind {loss.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -95,12 +93,39 @@ class ProblemInstance:
     support: tuple[SupportPoint, ...]
     hypotheses: tuple[Hypothesis, ...]
     loss: LossSpec
+    # Derived from the fields above on construction (and by
+    # dataclasses.replace): losses[i, j] is the loss of hypotheses[i] at
+    # support code j on the original scale, and risks[i] sums p_j * losses[i, j]
+    # left to right over the support.
+    losses: np.ndarray = field(init=False, repr=False, compare=False)
+    risks: np.ndarray = field(init=False, repr=False, compare=False)
+    _rows: dict[str, int] = field(init=False, repr=False, compare=False)
 
-    def hypothesis(self, hyp_id: str) -> Hypothesis:
-        for f in self.hypotheses:
-            if f.id == hyp_id:
-                return f
-        raise ValidationError(f"hypotheses: unknown hypothesis id {hyp_id!r}")
+    def __post_init__(self):
+        losses = np.array(
+            [[loss_value(self.loss, f, z) for z in self.support] for f in self.hypotheses], dtype=float
+        ).reshape(len(self.hypotheses), len(self.support))
+        risks = np.zeros(len(self.hypotheses))
+        for j, z in enumerate(self.support):
+            risks += z.p * losses[:, j]
+        losses.flags.writeable = risks.flags.writeable = False
+        object.__setattr__(self, "losses", losses)
+        object.__setattr__(self, "risks", risks)
+        object.__setattr__(self, "_rows", {f.id: i for i, f in enumerate(self.hypotheses)})
+
+    def row(self, f: Hypothesis | str) -> int:
+        """Row of f in `losses` and `risks`; f is a class member, by id or object."""
+        hyp_id = f if isinstance(f, str) else f.id
+        i = self._rows.get(hyp_id)
+        if i is None:
+            raise ValidationError(f"hypotheses: unknown hypothesis id {hyp_id!r}")
+        if not isinstance(f, str) and self.hypotheses[i] != f:
+            raise ValidationError(f"hypotheses: hypothesis {f.id!r} is not part of the instance")
+        return i
+
+    def hypothesis(self, f: Hypothesis | str) -> Hypothesis:
+        """The class member f names, by id or object."""
+        return self.hypotheses[self.row(f)]
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -117,35 +142,16 @@ class ExactStatistics:
     best_id: str
 
 
-def loss_value(loss: LossSpec, f: Hypothesis, z: SupportPoint) -> float:
-    """Evaluate the (possibly rescaled) loss of hypothesis f at support point z."""
-    return loss.raw_value(f, z) / loss.scale
-
-
-def rescale_loss(loss: LossSpec) -> tuple[LossSpec, float]:
-    """Return an equivalent loss with bound one, plus the factor divided out.
-
-    Estimates on the rescaled scale map back via mu = factor * a.
-    """
-    if loss.bound <= 0:
-        raise ValidationError(f"loss.bound: must be positive, got {loss.bound}")
-    factor = loss.bound
-    return replace(loss, bound=1.0, scale=loss.scale * factor), factor
-
-
 def exact_risk(inst: ProblemInstance, f: Hypothesis | str) -> float:
-    """Expected loss of f under the instance distribution (exact finite sum)."""
-    if isinstance(f, str):
-        f = inst.hypothesis(f)
-    return float(sum(z.p * loss_value(inst.loss, f, z) for z in inst.support))
+    """Expected loss of class member f under the instance distribution (exact finite sum)."""
+    return float(inst.risks[inst.row(f)])
 
 
 def best_hypothesis(inst: ProblemInstance) -> str:
     """Id of the exact-risk minimizer; ties broken by lowest list index."""
     if not inst.hypotheses:
         raise ValidationError("hypotheses: empty hypothesis class")
-    risks = [exact_risk(inst, f) for f in inst.hypotheses]
-    return inst.hypotheses[int(np.argmin(risks))].id
+    return inst.hypotheses[int(np.argmin(inst.risks))].id
 
 
 def regression_and_variance(inst: ProblemInstance) -> tuple[dict[int, float], float]:
@@ -172,21 +178,20 @@ def squared_risk_decomposition(inst: ProblemInstance, f: Hypothesis | str) -> tu
     """
     if inst.loss.kind != "squared":
         raise ValidationError(f"loss.kind: decomposition needs a squared loss, got {inst.loss.kind!r}")
-    if isinstance(f, str):
-        f = inst.hypothesis(f)
+    f = inst.hypothesis(f)
     lhs = exact_risk(inst, f)
     regression, noise = regression_and_variance(inst)
     marginal: dict[int, float] = {}
     for z in inst.support:
         marginal[z.x] = marginal.get(z.x, 0.0) + z.p
     bias = sum(m * (f.table[x] - regression[x]) ** 2 for x, m in marginal.items() if x in regression)
-    return lhs, float(bias + noise) / inst.loss.scale
+    return lhs, float(bias + noise)
 
 
 def exact_statistics(inst: ProblemInstance) -> ExactStatistics:
     """Assemble every ground-truth summary in one pass."""
     regression, noise = regression_and_variance(inst)
-    risks = {f.id: exact_risk(inst, f) for f in inst.hypotheses}
+    risks = dict(zip((f.id for f in inst.hypotheses), inst.risks.tolist()))
     return ExactStatistics(regression, noise, risks, best_hypothesis(inst))
 
 
@@ -255,14 +260,14 @@ def make_instance(
         hypotheses=tuple(hyps),
         loss=loss,
     )
-    for f in inst.hypotheses:
-        for z in inst.support:
-            v = loss_value(inst.loss, f, z)
-            if not 0.0 <= v <= inst.loss.bound:
-                raise ValidationError(
-                    f"loss: value {v} for (hypothesis={f.id!r}, x={z.x}, y_index={z.y_index}) "
-                    f"outside [0, {inst.loss.bound}]"
-                )
+    outside = ~((inst.losses >= 0.0) & (inst.losses <= inst.loss.bound))  # NaN lands outside
+    if outside.any():
+        i, j = np.argwhere(outside)[0]
+        f, z = inst.hypotheses[i], inst.support[j]
+        raise ValidationError(
+            f"loss: value {float(inst.losses[i, j])} for (hypothesis={f.id!r}, x={z.x}, "
+            f"y_index={z.y_index}) outside [0, {inst.loss.bound}]"
+        )
     return inst
 
 
@@ -321,7 +326,7 @@ def random_instance(
 
     zero_one instances draw y values and tables from a shared integer
     codomain so mismatches occur; squared instances use values in [-1, 1]
-    and set the bound to the exact maximum loss.
+    and set the bound to the exact maximum entry of their loss matrix.
     """
     if min(x_size, y_size, h_size) < 1:
         raise ValidationError("random_instance: x_size, y_size, h_size must be >= 1")
@@ -338,15 +343,16 @@ def random_instance(
             (f"h{j}", [float(rng.integers(0, y_size)) for _ in range(x_size)])
             for j in range(h_size)
         ]
-        loss = LossSpec(kind="zero_one", bound=1.0)
-    elif loss_kind == "squared":
-        y_values = sorted(float(v) for v in rng.uniform(-1.0, 1.0, y_size))
-        hyps = [(f"h{j}", [float(v) for v in rng.uniform(-1.0, 1.0, x_size)]) for j in range(h_size)]
-        worst = max((t[x] - y) ** 2 for _, t in hyps for x in range(x_size) for y in y_values)
-        loss = LossSpec(kind="squared", bound=worst if worst > 0 else 1.0)
-    else:
+        return make_instance(x_size, y_values, k, support, hyps, LossSpec(kind="zero_one", bound=1.0))
+    if loss_kind != "squared":
         raise ValidationError(f"random_instance: unsupported loss kind {loss_kind!r}")
-    return make_instance(x_size, y_values, k, support, hyps, loss)
+    y_values = sorted(float(v) for v in rng.uniform(-1.0, 1.0, y_size))
+    hyps = [(f"h{j}", [float(v) for v in rng.uniform(-1.0, 1.0, x_size)]) for j in range(h_size)]
+    # |f(x) - y| <= 2 bounds every loss; the bound is then the largest entry
+    # of the instance's own loss matrix.
+    inst = make_instance(x_size, y_values, k, support, hyps, LossSpec(kind="squared", bound=4.0))
+    worst = float(inst.losses.max())
+    return replace(inst, loss=LossSpec(kind="squared", bound=worst if worst > 0 else 1.0))
 
 
 def demo_instance() -> ProblemInstance:

@@ -8,20 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qal.engine import (
-    AEOutcome,
     CapacityError,
     QubitLayout,
     _apply_state_reflection,
     ae_error_bound,
     closed_form_ae_distribution,
+    draw_outcome,
     estimate_from_phase,
     loss_encoded_state,
     marked_probability,
     prepare_data_state,
     run_ledger,
-    sample_ae_outcome,
     simulate_ae_distribution,
-    simulate_ae_run,
     simulate_ae_state,
 )
 from qal.problem import LossSpec, exact_risk, make_instance, random_instance
@@ -136,9 +134,9 @@ class TestPhaseEstimation:
         inst = constant_loss_instance(0.0)
         dist = simulate_ae_distribution(inst, inst.hypotheses[0], m=3)
         assert dist[0] == pytest.approx(1.0, abs=1e-12)
-        run = simulate_ae_run(inst, inst.hypotheses[0], m=3, rng=0)
-        assert run.y == 0
-        assert run.a_hat == 0.0
+        y = draw_outcome(dist, np.random.default_rng(0))
+        assert y == 0
+        assert estimate_from_phase(y, 3) == 0.0
 
     def test_half_amplitude_exact_phase(self):
         inst = half_amplitude_instance()
@@ -167,12 +165,6 @@ class TestPhaseEstimation:
     def test_qubit_cap_enforced(self, demo2):
         with pytest.raises(CapacityError, match="cap"):
             simulate_ae_distribution(demo2, demo2.hypothesis("identity"), m=4, qubit_cap=4)
-
-    def test_run_is_deterministic_per_seed(self, demo2):
-        f = demo2.hypothesis("identity")
-        a = simulate_ae_run(demo2, f, m=4, rng=123)
-        b = simulate_ae_run(demo2, f, m=4, rng=123)
-        assert (a.y, a.a_hat) == (b.y, b.a_hat)
 
 
 class TestClosedFormLaw:
@@ -234,25 +226,14 @@ class TestLedgerAndSampler:
             assert ledger.a_inv_calls == 2**m - 1
             assert ledger.quantum_samples == 2 ** (m + 1) - 1
 
-    def test_sampler_and_simulator_share_ledger(self, demo2):
-        f = demo2.hypothesis("identity")
-        sim = simulate_ae_run(demo2, f, m=3, rng=1)
-        law = sample_ae_outcome(0.3, 3, rng=1)
-        assert sim.ledger == law.ledger
-
     def test_sampler_quick_coverage(self):
         # Outcome draws should respect the error radius about 8/pi^2 of the time.
         a, m, n = 0.3, 5, 400
         rng = np.random.default_rng(77)
         radius = ae_error_bound(a, m)
-        hits = sum(abs(sample_ae_outcome(a, m, rng).a_hat - a) <= radius for _ in range(n))
+        dist = closed_form_ae_distribution(a, m)
+        hits = sum(abs(estimate_from_phase(draw_outcome(dist, rng), m) - a) <= radius for _ in range(n))
         assert hits / n >= 0.75
-
-    def test_outcome_fields(self):
-        out = sample_ae_outcome(0.25, 4, rng=5)
-        assert isinstance(out, AEOutcome)
-        assert 0 <= out.y < 16
-        assert 0.0 <= out.a_hat <= 1.0
 
 
 class TestLayout:

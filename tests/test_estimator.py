@@ -14,6 +14,7 @@ from qal.estimator import (
     repetitions_for_confidence,
     worst_case_error,
 )
+from qal.problem import Hypothesis, ValidationError
 from conftest import constant_loss_instance, half_amplitude_instance
 
 
@@ -153,6 +154,13 @@ class TestEstimateMean:
     def test_unknown_hypothesis_rejected(self, demo2):
         with pytest.raises(Exception, match="unknown hypothesis"):
             estimate_mean(demo2, "nope", 0.2, 0.2, rng=0)
+
+    def test_non_member_hypothesis_rejected(self, demo2):
+        impostor = Hypothesis("identity", (1.0, 1.0))
+        with pytest.raises(ValidationError, match="not part of the instance"):
+            estimate_mean(demo2, impostor, 0.2, 0.2, rng=0)
+        by_id = estimate_mean(demo2, "identity", 0.2, 0.2, rng=0)
+        assert by_id == estimate_mean(demo2, demo2.hypothesis("identity"), 0.2, 0.2, rng=0)
 
     def test_epsilon_must_stay_below_bound(self, demo2):
         with pytest.raises(ValueError, match="epsilon"):

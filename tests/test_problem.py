@@ -1,4 +1,5 @@
 """Problem-model tests: losses, exact risks, decomposition, loading."""
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from qal.problem import (
     make_instance,
     random_instance,
     regression_and_variance,
-    rescale_loss,
     squared_risk_decomposition,
 )
 
@@ -37,7 +37,7 @@ def brute_force_risk(inst, f):
             v = (f.table[z.x] - z.y) ** 2
         else:
             v = inst.loss.table[f.id][z.x][z.y_index]
-        total += z.p * v / inst.loss.scale
+        total += z.p * v
     return total
 
 
@@ -68,42 +68,6 @@ class TestLossValue:
         spec = LossSpec("table", 1.0, table={"f": ((0.5,),)})
         with pytest.raises(ValidationError, match="missing entry"):
             loss_value(spec, Hypothesis("f", (0.0, 0.0)), z)
-
-
-class TestRescaleLoss:
-    def test_squared_bound_four(self):
-        spec, factor = rescale_loss(LossSpec("squared", 4.0))
-        assert factor == 4.0
-        assert spec.bound == 1.0
-        f = Hypothesis("f", (0.0,))
-        z = SupportPoint(x=0, y_index=0, y=1.0, p=1.0)  # raw squared loss 1
-        assert loss_value(spec, f, z) == 0.25
-
-    def test_zero_one_identity(self):
-        original = LossSpec("zero_one", 1.0)
-        spec, factor = rescale_loss(original)
-        assert factor == 1.0
-        assert spec == original
-
-    def test_table_max_becomes_one(self):
-        spec, factor = rescale_loss(LossSpec("table", 0.8, table={"f": ((0.8, 0.1),)}))
-        assert factor == 0.8
-        f = Hypothesis("f", (0.0,))
-        z = SupportPoint(x=0, y_index=0, y=0.0, p=1.0)
-        assert loss_value(spec, f, z) == 1.0
-
-    def test_nonpositive_bound_rejected(self):
-        with pytest.raises(ValidationError, match="loss.bound"):
-            rescale_loss(LossSpec("zero_one", 0.0))
-
-    @given(st.floats(0.1, 50.0), st.floats(0.0, 1.0))
-    def test_rescaled_values_in_unit_interval(self, bound, frac):
-        raw = frac * bound
-        spec, factor = rescale_loss(LossSpec("table", bound, table={"f": ((raw,),)}))
-        z = SupportPoint(x=0, y_index=0, y=0.0, p=1.0)
-        v = loss_value(spec, Hypothesis("f", (0.0,)), z)
-        assert 0.0 <= v <= 1.0 + 1e-15
-        assert factor == bound
 
 
 class TestExactRisk:
@@ -138,6 +102,30 @@ class TestExactRisk:
             r = exact_risk(inst, f)
             assert 0.0 <= r <= inst.loss.bound
             assert r == pytest.approx(brute_force_risk(inst, f), abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["zero_one", "squared"])
+    def test_risks_are_left_to_right_sums_of_the_loss_matrix(self, kind):
+        inst = random_instance(5, x_size=4, y_size=4, h_size=6, loss_kind=kind)
+        for i, f in enumerate(inst.hypotheses):
+            total = 0.0
+            for j, z in enumerate(inst.support):
+                v = loss_value(inst.loss, f, z)
+                assert inst.losses[i, j] == v
+                total += z.p * v
+            assert exact_risk(inst, f) == total
+
+    def test_replace_recomputes_the_loss_matrix(self, demo2):
+        flipped = dataclasses.replace(demo2, hypotheses=demo2.hypotheses[::-1])
+        assert flipped.losses.tolist() == demo2.losses[::-1].tolist()
+        assert exact_risk(flipped, "identity") == exact_risk(demo2, "identity")
+
+    def test_non_member_hypothesis_rejected(self, demo2):
+        impostor = Hypothesis("identity", (1.0, 1.0))
+        with pytest.raises(ValidationError, match="not part of the instance"):
+            exact_risk(demo2, impostor)
+        with pytest.raises(ValidationError, match="unknown hypothesis"):
+            exact_risk(demo2, Hypothesis("nope", (0.0, 1.0)))
+        assert exact_risk(demo2, "identity") == exact_risk(demo2, demo2.hypothesis("identity"))
 
 
 class TestBestHypothesis:
@@ -331,6 +319,12 @@ class TestLoading:
         inst = random_instance(13, x_size=3, y_size=3, h_size=2, loss_kind="squared")
         save_instance(inst, tmp_path / "inst.json")
         assert load_instance(tmp_path / "inst.json") == inst
+
+    def test_random_squared_bound_is_the_largest_loss(self):
+        # The bound once came from a second formula, (t - y) ** 2, which can
+        # exceed the loss d * d by one ulp and reject the instance.
+        inst = random_instance(83, x_size=4, y_size=3, h_size=3, loss_kind="squared")
+        assert inst.loss.bound == inst.losses.max()
 
     def test_random_instance_rejects_bad_counts(self):
         with pytest.raises(ValidationError):
