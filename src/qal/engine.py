@@ -191,23 +191,20 @@ def simulate_ae_state(
     """Run the full phase-estimation circuit; return the pre-measurement state.
 
     The returned array has shape (2^m, system_dim): phase register value by
-    system basis state.
+    system basis state. After the Hadamards and the controlled powers
+    Q^(2^j), row y is exactly Q^y psi / sqrt(2^m), so the rows are built in
+    order, one iterate each, at a cost of 2^m * system_dim.
     """
     layout = QubitLayout(k=inst.k, m=m, garbage=1 if garbage_mode else 0, cap=qubit_cap)
     psi = loss_encoded_state(inst, f, garbage_mode=garbage_mode, rng=rng)
     t = 2**layout.m
     state = np.empty((t, psi.size), dtype=complex)
-    state[:] = psi / math.sqrt(t)  # Hadamards on the phase register
+    row = psi[None, :] / math.sqrt(t)  # Hadamards on the phase register
+    for y in range(t):
+        state[y] = row[0]
+        _apply_projector_reflection(row)
+        row = _apply_state_reflection(row, psi)
     _check_norm(state)
-    phase_values = np.arange(t)
-    for j in range(m):
-        rows = ((phase_values >> j) & 1) == 1
-        block = state[rows]
-        for _ in range(2**j):
-            _apply_projector_reflection(block)
-            block = _apply_state_reflection(block, psi)
-        state[rows] = block
-        _check_norm(state)
     # Inverse Fourier transform on the phase axis (exact unitary).
     state = np.fft.fft(state, axis=0, norm="ortho")
     _check_norm(state)

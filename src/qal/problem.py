@@ -220,8 +220,8 @@ def make_instance(
             raise ValidationError(f"support[{i}].x: {x} outside 0..{x_size - 1}")
         if not 0 <= yi < len(y_values):
             raise ValidationError(f"support[{i}].y: {yi} outside 0..{len(y_values) - 1}")
-        if p < 0:
-            raise ValidationError(f"support[{i}].p: negative probability {p}")
+        if not (math.isfinite(p) and p >= 0):
+            raise ValidationError(f"support[{i}].p: must be a finite nonnegative probability, got {p}")
         if (x, yi) in seen:
             raise ValidationError(f"support[{i}]: duplicate pair (x={x}, y={yi})")
         seen.add((x, yi))
@@ -234,6 +234,8 @@ def make_instance(
         SupportPoint(x=x, y_index=yi, y=float(y_values[yi]), p=p / total) for x, yi, p in support
     )
 
+    if not hypotheses:
+        raise ValidationError("hypotheses: must be nonempty")
     ids = [hid for hid, _ in hypotheses]
     if len(set(ids)) != len(ids):
         raise ValidationError("hypotheses[*].id: ids must be distinct")

@@ -31,6 +31,29 @@ def tv(p, q):
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
+def literal_circuit_state(inst, f, m, garbage_mode=False, rng=None):
+    """Reference: the phase-estimation circuit applied gate by gate.
+
+    Hadamards on the phase register, then for each phase bit j the
+    controlled-Q^(2^j) on the rows whose bit j is set, then the Fourier
+    transform. Q (sign flip on the marked branch, then the reflection about
+    psi) is written out here rather than taken from the engine.
+    """
+    psi = loss_encoded_state(inst, f, garbage_mode=garbage_mode, rng=rng)
+    t = 2**m
+    state = np.empty((t, psi.size), dtype=complex)
+    state[:] = psi / math.sqrt(t)
+    phase_values = np.arange(t)
+    for j in range(m):
+        rows = ((phase_values >> j) & 1) == 1
+        block = state[rows]
+        for _ in range(2**j):
+            block[:, 1::2] *= -1.0
+            block = 2.0 * (block @ psi.conj())[:, None] * psi[None, :] - block
+        state[rows] = block
+    return np.fft.fft(state, axis=0, norm="ortho")
+
+
 class TestPrepareDataState:
     def test_demo2_amplitudes(self, demo2):
         amps = prepare_data_state(demo2)
@@ -161,6 +184,17 @@ class TestPhaseEstimation:
         plain = simulate_ae_distribution(demo2, f, m=4)
         garbled = simulate_ae_distribution(demo2, f, m=4, garbage_mode=True, rng=11)
         assert tv(plain, garbled) <= 1e-9
+
+    @pytest.mark.parametrize("garbage_mode", [False, True])
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_matches_literal_circuit(self, m, garbage_mode):
+        kind = ["zero_one", "squared"][m % 2]
+        inst = random_instance(m, x_size=3, y_size=3, h_size=2, loss_kind=kind)
+        f = inst.hypotheses[m % 2]
+        state = simulate_ae_state(inst, f, m, garbage_mode=garbage_mode, rng=5)
+        reference = literal_circuit_state(inst, f, m, garbage_mode=garbage_mode, rng=5)
+        assert state.shape == reference.shape
+        assert np.abs(state - reference).max() <= 1e-12
 
     def test_qubit_cap_enforced(self, demo2):
         with pytest.raises(CapacityError, match="cap"):

@@ -14,7 +14,7 @@ from qal.estimator import (
     repetitions_for_confidence,
     worst_case_error,
 )
-from qal.problem import Hypothesis, ValidationError
+from qal.problem import Hypothesis, ValidationError, random_instance
 from conftest import constant_loss_instance, half_amplitude_instance
 
 
@@ -143,6 +143,20 @@ class TestEstimateMean:
         f = demo2.hypothesis("identity")
         sv = estimate_mean(demo2, f, epsilon=0.3, delta=0.3, rng=42, engine="statevector")
         an = estimate_mean(demo2, f, epsilon=0.3, delta=0.3, rng=42, engine="analytic")
+        assert sv.raw_estimates == an.raw_estimates
+        assert sv.mu_hat == an.mu_hat
+        assert sv.ledger == an.ledger
+
+    @pytest.mark.parametrize("m", range(8, 13))
+    def test_engine_modes_agree_at_real_depths(self, m):
+        kind = ["zero_one", "squared"][m % 2]
+        inst = random_instance(m, x_size=3, y_size=3, h_size=2, loss_kind=kind)
+        f = inst.hypotheses[m % 2]
+        # Midway between the worst-case radii at m - 1 and m selects depth m.
+        epsilon = inst.loss.bound * 0.5 * (worst_case_error(m - 1) + worst_case_error(m))
+        sv = estimate_mean(inst, f, epsilon, delta=0.05, rng=m, engine="statevector")
+        an = estimate_mean(inst, f, epsilon, delta=0.05, rng=m, engine="analytic")
+        assert sv.m == an.m == m
         assert sv.raw_estimates == an.raw_estimates
         assert sv.mu_hat == an.mu_hat
         assert sv.ledger == an.ledger

@@ -282,6 +282,27 @@ class TestLoading:
                 loss=LossSpec("zero_one", 1.0),
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    def test_non_finite_or_negative_probability_names_field(self, bad):
+        # NaN slipped through: both `p < 0` and `abs(total - 1) > tol` are
+        # False for it, and every risk came out NaN.
+        with pytest.raises(ValidationError, match=r"support\[0\]\.p"):
+            make_instance(
+                2, [0.0, 1.0], 2, [(0, 0, bad), (1, 1, 1.0)],
+                [("h", [0.0, 1.0])], LossSpec("zero_one", 1.0),
+            )
+
+    def test_empty_hypothesis_class_rejected(self):
+        with pytest.raises(ValidationError, match="hypotheses:"):
+            make_instance(
+                x_size=1,
+                y_values=[0.0],
+                k=1,
+                support=[(0, 0, 1.0)],
+                hypotheses=[],
+                loss=LossSpec("zero_one", 1.0),
+            )
+
     def test_loss_bound_violation_reported(self):
         with pytest.raises(ValidationError, match="outside"):
             table_loss_instance((0.3, 0.2, 0.1, 0.4), {"f": [[2.0, 0.0], [0.0, 0.0]]}, bound=1.0)
