@@ -17,16 +17,32 @@ import numpy as np
 
 from .classical import erm_learn
 from .engine import CapacityError
+from .estimator import ENGINE_MODES
 from .learner import learn
-from .problem import ProblemInstance, ValidationError, exact_statistics, load_instance, random_instance
+from .problem import (
+    ProblemInstance,
+    ValidationError,
+    exact_statistics,
+    expect,
+    expect_list,
+    field,
+    load_instance,
+    random_instance,
+)
 
 CSV_HEADER = "instance_id,method,epsilon,delta,trial,samples_used,success,risk_gap,reason"
 METHODS = ("quantum", "classical")
+RANDOM_SIZES = ("x_size", "y_size", "h_size")
+RANDOM_LOSS_KINDS = ("zero_one", "squared")
 
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """One grid run. Exactly one of instance_path / random_spec is set."""
+    """One grid run. Exactly one of instance_path / random_spec is set.
+
+    Every field is checked on construction, so a bad grid is rejected
+    before any cell runs. random_spec holds random_instance's arguments.
+    """
 
     epsilons: tuple[float, ...]
     deltas: tuple[float, ...]
@@ -40,14 +56,36 @@ class BenchConfig:
     def __post_init__(self):
         if not self.epsilons or not self.deltas:
             raise ValidationError("epsilons/deltas: grids must be nonempty")
+        for name, grid in (("epsilons", self.epsilons), ("deltas", self.deltas)):
+            for i, value in enumerate(grid):
+                if not 0.0 < value < 1.0:
+                    raise ValidationError(f"{name}[{i}]: must lie in (0, 1), got {value}")
         if self.trials < 1:
             raise ValidationError(f"trials: must be >= 1, got {self.trials}")
         if self.base_seed < 0:
             raise ValidationError(f"base_seed: must be >= 0, got {self.base_seed}")
         if not self.methods or any(m not in METHODS for m in self.methods):
             raise ValidationError(f"methods: must be a nonempty subset of {METHODS}, got {self.methods}")
+        if self.engine not in ENGINE_MODES:
+            raise ValidationError(f"engine: must be one of {ENGINE_MODES}, got {self.engine!r}")
         if (self.instance_path is None) == (self.random_spec is None):
             raise ValidationError("config: exactly one of 'instance' and 'random' must be given")
+        if self.random_spec is not None:
+            _check_random_spec(self.random_spec)
+
+
+def _check_random_spec(spec) -> None:
+    spec = expect(spec, "object", "random")
+    unknown = sorted(spec.keys() - {"seed", "loss_kind", *RANDOM_SIZES})
+    if unknown:
+        raise ValidationError(f"random.{unknown[0]}: unknown field")
+    if field(spec, "seed", "integer", "random") < 0:
+        raise ValidationError(f"random.seed: must be >= 0, got {spec['seed']}")
+    for key in RANDOM_SIZES:
+        if field(spec, key, "integer", "random") < 1:
+            raise ValidationError(f"random.{key}: must be >= 1, got {spec[key]}")
+    if spec.get("loss_kind", "zero_one") not in RANDOM_LOSS_KINDS:
+        raise ValidationError(f"random.loss_kind: must be one of {RANDOM_LOSS_KINDS}, got {spec['loss_kind']!r}")
 
 
 @dataclass(frozen=True)
@@ -79,38 +117,30 @@ class BenchRow:
 
 
 def load_bench_config(path: str | Path) -> BenchConfig:
+    """Load a grid config; wrong-shaped JSON raises ValidationError naming the field."""
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # bad JSON, bad UTF-8, or an integer too long to parse
             raise ValidationError(f"{path}: not valid JSON ({e})") from None
-    try:
-        return BenchConfig(
-            epsilons=tuple(float(e) for e in obj["epsilons"]),
-            deltas=tuple(float(d) for d in obj["deltas"]),
-            trials=int(obj["trials"]),
-            base_seed=int(obj["base_seed"]),
-            methods=tuple(obj.get("methods", list(METHODS))),
-            engine=obj.get("engine", "analytic"),
-            instance_path=obj.get("instance"),
-            random_spec=obj.get("random"),
-        )
-    except KeyError as e:
-        raise ValidationError(f"config: missing field {e.args[0]!r}") from None
+    obj = expect(obj, "object", str(path))
+    instance = obj.get("instance")
+    return BenchConfig(
+        epsilons=tuple(expect_list(field(obj, "epsilons", "array"), "number", "epsilons")),
+        deltas=tuple(expect_list(field(obj, "deltas", "array"), "number", "deltas")),
+        trials=field(obj, "trials", "integer"),
+        base_seed=field(obj, "base_seed", "integer"),
+        methods=tuple(expect_list(obj.get("methods", list(METHODS)), "string", "methods")),
+        engine=expect(obj.get("engine", "analytic"), "string", "engine"),
+        instance_path=None if instance is None else expect(instance, "string", "instance"),
+        random_spec=obj.get("random"),
+    )
 
 
 def resolve_instance(config: BenchConfig) -> tuple[str, ProblemInstance]:
     if config.instance_path is not None:
         return Path(config.instance_path).stem, load_instance(config.instance_path)
-    spec = dict(config.random_spec)
-    inst = random_instance(
-        seed=int(spec["seed"]),
-        x_size=int(spec["x_size"]),
-        y_size=int(spec["y_size"]),
-        h_size=int(spec["h_size"]),
-        loss_kind=spec.get("loss_kind", "zero_one"),
-    )
-    return f"random-{spec['seed']}", inst
+    return f"random-{config.random_spec['seed']}", random_instance(**config.random_spec)
 
 
 def _trial_rng(base_seed: int, cell_index: int, trial: int) -> np.random.Generator:

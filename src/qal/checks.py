@@ -15,9 +15,9 @@ from .engine import (
     CapacityError,
     ae_error_bound,
     closed_form_ae_distribution,
-    estimate_from_phase,
     loss_encoded_state,
     marked_probability,
+    phase_estimates,
     simulate_ae_distribution,
 )
 from .learner import argmin_risk_transfer
@@ -97,7 +97,7 @@ def check_ae_interval_mass(ms: tuple[int, ...], qubit_cap: int) -> CheckResult:
         for m in ms:
             dist = simulate_ae_distribution(inst, f, m, qubit_cap=qubit_cap)
             radius = ae_error_bound(a, m)
-            hats = np.array([estimate_from_phase(y, m) for y in range(dist.size)])
+            hats = phase_estimates(m)
             mass = float(dist[np.abs(hats - a) <= radius].sum())
             worst = min(worst, mass)
     except CapacityError as e:

@@ -19,6 +19,7 @@ independent oracle for the simulated path and as a fast sampler.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,7 +58,7 @@ class QubitLayout:
         return self.k + self.garbage + 1 + self.m
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueryLedger:
     """Oracle accounting: state-preparation and loss-rotation calls."""
 
@@ -69,19 +70,15 @@ class QueryLedger:
         """Total preparation-unitary invocations, forward plus inverse."""
         return self.a_calls + self.a_inv_calls
 
-    def add(self, other: "QueryLedger") -> None:
-        self.a_calls += other.a_calls
-        self.a_inv_calls += other.a_inv_calls
 
-
-def run_ledger(m: int) -> QueryLedger:
-    """Closed-form counts for one run at depth 2^m.
+def run_ledger(m: int, runs: int = 1) -> QueryLedger:
+    """Closed-form counts for `runs` runs at depth 2^m.
 
     One preparation plus one forward and one inverse call per reflection;
-    there are 2^m - 1 reflections, so a_calls + a_inv_calls = 2^(m+1) - 1.
+    there are 2^m - 1 reflections, so a run costs 2^(m+1) - 1 calls.
     """
     t = 2**m
-    return QueryLedger(a_calls=t, a_inv_calls=t - 1)
+    return QueryLedger(a_calls=runs * t, a_inv_calls=runs * (t - 1))
 
 
 def _check_norm(state: np.ndarray) -> None:
@@ -224,15 +221,30 @@ def simulate_ae_distribution(
     return np.sum(np.abs(state) ** 2, axis=1)
 
 
-def draw_outcome(distribution: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw using exactly one uniform deviate."""
-    cdf = np.cumsum(distribution)
-    y = int(np.searchsorted(cdf, rng.random(), side="right"))
-    return min(y, distribution.size - 1)
+def draw_outcome(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws: the outcome of each uniform deviate in u.
+
+    cdf is the cumulative sum of an outcome law. Its last entry can round
+    to just under one; a deviate at or past it maps to the last outcome.
+    """
+    return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
 
 
 def estimate_from_phase(y: int, m: int) -> float:
     return math.sin(math.pi * y / 2**m) ** 2
+
+
+@functools.lru_cache(maxsize=8)
+def phase_estimates(m: int) -> np.ndarray:
+    """estimate_from_phase(y, m) for every outcome y of a depth-2^m register.
+
+    A table costs 2^m Python sin calls, as much as the rest of a small
+    learner run at m = 11, so the last few are kept. They are read-only
+    because every caller shares them.
+    """
+    table = np.array([estimate_from_phase(y, m) for y in range(2**m)])
+    table.flags.writeable = False
+    return table
 
 
 def _phase_kernel(delta: np.ndarray, t: int) -> np.ndarray:

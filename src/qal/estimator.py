@@ -4,11 +4,17 @@ The phase-register depth is the smallest power of two whose worst-case
 error bound meets the rescaled accuracy target; the repetition count makes
 the median of independent runs reach the confidence target. Estimates are
 formed on the rescaled (bound-one) loss and mapped back by the bound.
+
+Estimates at a common (epsilon, delta) run as one batch: the outcome law
+depends only on a hypothesis's loss row, so class members with equal rows
+share one law, and each member's repetitions are one vector of uniform
+deviates from that member's own stream.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -18,7 +24,7 @@ from .engine import (
     QueryLedger,
     closed_form_ae_distribution,
     draw_outcome,
-    estimate_from_phase,
+    phase_estimates,
     run_ledger,
     simulate_ae_distribution,
 )
@@ -112,6 +118,54 @@ def outcome_distribution(
     raise ValueError(f"engine must be one of {ENGINE_MODES}, got {engine!r}")
 
 
+def estimate_batch(
+    inst: ProblemInstance,
+    members: Sequence[Hypothesis | str],
+    epsilon: float,
+    delta: float,
+    rngs: Sequence[np.random.Generator | int | None],
+    engine: str = "analytic",
+    qubit_cap: int = DEFAULT_QUBIT_CAP,
+) -> list[EstimateResult]:
+    """Estimate the expected loss of each class member, all at (epsilon, delta).
+
+    members[i] draws only from rngs[i]: its repetitions are one vector of
+    uniform deviates from that stream, mapped through the inverse CDF of
+    its outcome law. One law is built per distinct loss row, so the result
+    for a member does not depend on which other members share the batch.
+    """
+    if len(rngs) != len(members):
+        raise ValueError(f"need one rng per member, got {len(rngs)} for {len(members)}")
+    rows = [inst.row(f) for f in members]
+    bound = inst.loss.bound
+    if not 0.0 < epsilon < bound:
+        raise ValueError(f"epsilon must lie in (0, {bound}) on the original loss scale, got {epsilon}")
+    m = phase_bits_for_accuracy(epsilon / bound, max_bits=qubit_cap - (inst.k + 1))
+    reps = repetitions_for_confidence(delta)
+
+    _, first, law_of = np.unique(inst.losses[rows], axis=0, return_index=True, return_inverse=True)
+    law_of = law_of.reshape(-1)  # some numpy 2.0 releases give it an extra axis
+    raw = np.array([np.random.default_rng(rng).random(reps) for rng in rngs])
+    table = phase_estimates(m)
+    for j, i in enumerate(first):
+        law = outcome_distribution(inst, inst.hypotheses[rows[i]], m, engine=engine, qubit_cap=qubit_cap)
+        same = law_of == j
+        raw[same] = table[draw_outcome(np.cumsum(law), raw[same])]  # uniform deviates -> estimates
+    ledger = run_ledger(m, runs=reps)
+    return [
+        EstimateResult(
+            mu_hat=bound * median(estimates),
+            epsilon_target=epsilon,
+            delta_target=delta,
+            m=m,
+            repetitions=reps,
+            ledger=ledger,
+            raw_estimates=tuple(estimates),
+        )
+        for estimates in map(np.ndarray.tolist, raw)
+    ]
+
+
 def estimate_mean(
     inst: ProblemInstance,
     f: Hypothesis | str,
@@ -123,30 +177,9 @@ def estimate_mean(
 ) -> EstimateResult:
     """Estimate the expected loss of f to accuracy epsilon, confidence 1 - delta.
 
-    epsilon is on the original loss scale. Repetitions draw from
-    independent child streams of rng (one uniform deviate each) so the
-    merge is order-insensitive and reproducible.
+    epsilon is on the original loss scale. The repetitions draw one vector
+    of uniform deviates from rng, so the estimate is reproducible per seed;
+    this is the one-member case of estimate_batch.
     """
-    f = inst.hypothesis(f)
-    bound = inst.loss.bound
-    if not 0.0 < epsilon < bound:
-        raise ValueError(f"epsilon must lie in (0, {bound}) on the original loss scale, got {epsilon}")
-    m = phase_bits_for_accuracy(epsilon / bound, max_bits=qubit_cap - (inst.k + 1))
-    reps = repetitions_for_confidence(delta)
-
-    dist = outcome_distribution(inst, f, m, engine=engine, qubit_cap=qubit_cap)
-    raw = []
-    ledger = QueryLedger()
-    for child in np.random.default_rng(rng).spawn(reps):
-        y = draw_outcome(dist, child)
-        raw.append(estimate_from_phase(y, m))
-        ledger.add(run_ledger(m))
-    return EstimateResult(
-        mu_hat=bound * median(raw),
-        epsilon_target=epsilon,
-        delta_target=delta,
-        m=m,
-        repetitions=reps,
-        ledger=ledger,
-        raw_estimates=tuple(raw),
-    )
+    (result,) = estimate_batch(inst, [f], epsilon, delta, [rng], engine=engine, qubit_cap=qubit_cap)
+    return result

@@ -15,7 +15,8 @@ from typing import Mapping
 import numpy as np
 
 from .engine import DEFAULT_QUBIT_CAP
-from .estimator import EstimateResult, estimate_mean
+from .estimator import EstimateResult, estimate_batch
+from .estimator import estimate_mean  # noqa: F401  (benchmark/run.py traces learner.estimate_mean by name)
 from .problem import ProblemInstance
 
 # Guarantees are only claimed inside these ranges; the algorithm itself is
@@ -58,8 +59,11 @@ def learn(
 ) -> LearnResult:
     """Estimate every hypothesis risk, return the estimate argmin.
 
-    Ties break toward the lower hypothesis index. Per-hypothesis
-    estimations use independent child streams keyed by hypothesis order.
+    Ties break toward the lower hypothesis index. The class is estimated
+    as one batch: hypothesis i draws its repetitions as one uniform vector
+    from child stream i of rng (children spawned in class order), so its
+    estimate equals estimate_mean at the per-hypothesis budget on that
+    child.
     """
     if epsilon >= EPSILON_GUARANTEE_LIMIT:
         warnings.warn(
@@ -75,11 +79,8 @@ def learn(
         )
     eps_h, delta_h = allocate_budget(len(inst.hypotheses), epsilon, delta)
     children = np.random.default_rng(rng).spawn(len(inst.hypotheses))
-    estimates: dict[str, EstimateResult] = {}
-    for f, child in zip(inst.hypotheses, children):
-        estimates[f.id] = estimate_mean(
-            inst, f, eps_h, delta_h, rng=child, engine=engine, qubit_cap=qubit_cap
-        )
+    results = estimate_batch(inst, inst.hypotheses, eps_h, delta_h, children, engine=engine, qubit_cap=qubit_cap)
+    estimates = {f.id: r for f, r in zip(inst.hypotheses, results)}
     chosen = min(range(len(inst.hypotheses)), key=lambda i: estimates[inst.hypotheses[i].id].mu_hat)
     total = sum(r.ledger.quantum_samples for r in estimates.values())
     return LearnResult(

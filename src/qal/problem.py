@@ -208,9 +208,11 @@ def make_instance(
         raise ValidationError(f"x_size: must be >= 1, got {x_size}")
     if not y_values:
         raise ValidationError("y_values: must be nonempty")
+    if not all(math.isfinite(y) for y in y_values):
+        raise ValidationError("y_values: non-finite value")
     if k < 1:
         raise ValidationError(f"k: must be >= 1, got {k}")
-    if 2**k < len(support):
+    if k < (len(support) - 1).bit_length():  # 2^k < len(support), without forming 2^k
         raise ValidationError(f"k: 2^{k} = {2**k} cannot hold {len(support)} coded support points")
 
     seen: set[tuple[int, int]] = set()
@@ -273,32 +275,89 @@ def make_instance(
     return inst
 
 
+_JSON_KINDS = {"object": dict, "array": list, "string": str, "integer": int, "number": (int, float)}
+
+
+def expect(value, kind: str, path: str):
+    """value if its JSON type is kind, else ValidationError naming path.
+
+    kind is "object", "array", "string", "integer" or "number". A boolean
+    is not a number; a number is returned as a float.
+    """
+    if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
+        raise ValidationError(f"{path}: expected {kind}, got {value!r:.60}")
+    if kind != "number":
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{path}: {value!r:.60} is too large for a float") from None
+
+
+def field(obj: dict, key: str, kind: str, path: str = ""):
+    """obj[key] checked by expect; a missing key is a ValidationError too."""
+    name = f"{path}.{key}" if path else key
+    if key not in obj:
+        raise ValidationError(f"{name}: missing field")
+    return expect(obj[key], kind, name)
+
+
+def expect_list(value, kind: str, path: str) -> list:
+    """A JSON array whose items all have JSON type kind."""
+    return [expect(v, kind, f"{path}[{i}]") for i, v in enumerate(expect(value, "array", path))]
+
+
 def _loss_from_json(obj: dict) -> LossSpec:
-    kind = obj.get("kind")
-    table = obj.get("table")
-    if table is not None:
-        table = {str(hid): tuple(tuple(float(v) for v in row) for row in rows) for hid, rows in table.items()}
-    return LossSpec(kind=kind, bound=float(obj.get("bound", 0.0)), table=table)
+    table = None
+    if obj.get("table") is not None:
+        table = {
+            hid: tuple(
+                tuple(expect_list(row, "number", f"loss.table.{hid}[{x}]"))
+                for x, row in enumerate(expect(rows, "array", f"loss.table.{hid}"))
+            )
+            for hid, rows in field(obj, "table", "object", "loss").items()
+        }
+    return LossSpec(
+        kind=field(obj, "kind", "string", "loss"),
+        bound=field(obj, "bound", "number", "loss"),
+        table=table,
+    )
 
 
 def load_instance(path: str | Path) -> ProblemInstance:
-    """Load and validate an instance from its JSON file format."""
+    """Load and validate an instance from its JSON file format.
+
+    JSON of the wrong shape raises ValidationError naming the field.
+    """
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # bad JSON, bad UTF-8, or an integer too long to parse
             raise ValidationError(f"{path}: not valid JSON ({e})") from None
-    try:
-        return make_instance(
-            x_size=int(obj["x_size"]),
-            y_values=[float(v) for v in obj["y_values"]],
-            k=int(obj["k"]),
-            support=[(int(s["x"]), int(s["y"]), float(s["p"])) for s in obj["support"]],
-            hypotheses=[(h["id"], [float(v) for v in h["table"]]) for h in obj["hypotheses"]],
-            loss=_loss_from_json(obj["loss"]),
+    obj = expect(obj, "object", str(path))
+    support = []
+    for i, point in enumerate(field(obj, "support", "array")):
+        point = expect(point, "object", f"support[{i}]")
+        support.append(
+            (
+                field(point, "x", "integer", f"support[{i}]"),
+                field(point, "y", "integer", f"support[{i}]"),
+                field(point, "p", "number", f"support[{i}]"),
+            )
         )
-    except KeyError as e:
-        raise ValidationError(f"missing field {e.args[0]!r}") from None
+    hypotheses = []
+    for j, h in enumerate(field(obj, "hypotheses", "array")):
+        h = expect(h, "object", f"hypotheses[{j}]")
+        table = expect_list(field(h, "table", "array", f"hypotheses[{j}]"), "number", f"hypotheses[{j}].table")
+        hypotheses.append((field(h, "id", "string", f"hypotheses[{j}]"), table))
+    return make_instance(
+        x_size=field(obj, "x_size", "integer"),
+        y_values=expect_list(field(obj, "y_values", "array"), "number", "y_values"),
+        k=field(obj, "k", "integer"),
+        support=support,
+        hypotheses=hypotheses,
+        loss=_loss_from_json(field(obj, "loss", "object")),
+    )
 
 
 def save_instance(inst: ProblemInstance, path: str | Path) -> None:

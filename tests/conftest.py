@@ -2,6 +2,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -57,6 +58,36 @@ def constant_risk_class(risks, probs=(0.3, 0.2, 0.1, 0.4)):
     """Instance whose hypotheses have the given exact risks (unit bound)."""
     values = {hid: [[v, v], [v, v]] for hid, v in risks.items()}
     return table_loss_instance(probs, values, bound=1.0)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def mutate_json(data, obj, value):
+    """Replace one node of obj, up to three levels deep, with value, or drop one key.
+
+    data is Hypothesis's st.data(); obj is changed in place and returned.
+    """
+    parent, key, node = None, None, obj
+    for _ in range(data.draw(st.integers(0, 3))):
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            break
+        parent, key = node, data.draw(st.sampled_from(keys))
+        node = parent[key]
+        if not isinstance(node, (dict, list)):
+            break
+    if parent is None:
+        return value
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = value
+    return obj
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qal.engine as engine
 from qal.bench import (
@@ -15,6 +17,8 @@ from qal.bench import (
 from qal.checks import verify
 from qal.cli import main
 from qal.problem import ValidationError
+
+from conftest import json_values, mutate_json
 
 
 def small_config(repo_root, **overrides):
@@ -141,6 +145,77 @@ class TestRunBench:
         points = mean_samples_by_epsilon(rows, "classical")
         assert [p[0] for p in points] == [0.05, 0.1]
         assert all(p[1] > 0 for p in points)
+
+
+def demo2_config(repo_root, **overrides):
+    config = {
+        "instance": str(repo_root / "instances" / "demo2.json"),
+        "epsilons": [0.1],
+        "deltas": [0.1],
+        "trials": 1,
+        "base_seed": 0,
+    }
+    config.update(overrides)
+    return config
+
+
+class TestConfigValidation:
+    # Each config used to fail only at run time: a KeyError with exit 1, or
+    # a bad cell after the good cells before it had run, with no CSV written.
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"instance": None, "random": {"seed": 1}}, r"random\.x_size"),
+            ({"instance": None, "random": {"seed": 1, "x_size": "3", "y_size": 2, "h_size": 2}}, r"random\.x_size"),
+            ({"instance": None, "random": {"seed": -1, "x_size": 3, "y_size": 2, "h_size": 2}}, r"random\.seed"),
+            ({"instance": None, "random": {"seed": 1, "x_size": 3, "y_size": 2, "h_size": 2, "loss": "x"}}, r"random\.loss"),
+            ({"epsilons": [0.1, 2.0]}, r"epsilons\[1\]"),
+            ({"epsilons": [0.0]}, r"epsilons\[0\]"),
+            ({"deltas": [0.1, 1.0]}, r"deltas\[1\]"),
+            ({"engine": "tensor"}, "engine"),
+            ({"trials": "2"}, "trials"),
+        ],
+    )
+    def test_bad_config_rejected_before_any_cell(self, repo_root, tmp_path, capsys, overrides, field):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(demo2_config(repo_root, **overrides)))
+        with pytest.raises(ValidationError, match=field):
+            load_bench_config(path)
+        out = tmp_path / "out.csv"
+        assert main(["bench", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_random_spec_checked_on_construction(self):
+        with pytest.raises(ValidationError, match=r"random\.h_size"):
+            BenchConfig(
+                epsilons=(0.1,),
+                deltas=(0.1,),
+                trials=1,
+                base_seed=0,
+                random_spec={"seed": 1, "x_size": 2, "y_size": 2, "h_size": 0},
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), value=json_values)
+    def test_any_json_value_anywhere_loads_or_is_rejected(self, repo_root, tmp_path_factory, data, value):
+        obj = json.loads((repo_root / "configs" / "separation.json").read_text())
+        if data.draw(st.booleans()):
+            del obj["instance"]
+            obj["random"] = {"seed": 1, "x_size": 2, "y_size": 2, "h_size": 2}
+        path = tmp_path_factory.mktemp("fuzz") / "config.json"
+        path.write_text(json.dumps(mutate_json(data, obj, value)))
+        try:
+            config = load_bench_config(path)
+        except ValidationError:
+            return
+        assert all(0.0 < e < 1.0 for e in config.epsilons) and config.engine in ("analytic", "statevector")
+
+    def test_top_level_list_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[0.1, 0.05]")
+        with pytest.raises(ValidationError, match="expected object"):
+            load_bench_config(path)
 
 
 class TestVerify:

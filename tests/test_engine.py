@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qal.engine import (
     CapacityError,
     QubitLayout,
+    QueryLedger,
     _apply_state_reflection,
     ae_error_bound,
     closed_form_ae_distribution,
@@ -17,6 +18,7 @@ from qal.engine import (
     estimate_from_phase,
     loss_encoded_state,
     marked_probability,
+    phase_estimates,
     prepare_data_state,
     run_ledger,
     simulate_ae_distribution,
@@ -157,9 +159,9 @@ class TestPhaseEstimation:
         inst = constant_loss_instance(0.0)
         dist = simulate_ae_distribution(inst, inst.hypotheses[0], m=3)
         assert dist[0] == pytest.approx(1.0, abs=1e-12)
-        y = draw_outcome(dist, np.random.default_rng(0))
-        assert y == 0
-        assert estimate_from_phase(y, 3) == 0.0
+        ys = draw_outcome(np.cumsum(dist), np.random.default_rng(0).random(5))
+        assert ys.tolist() == [0] * 5
+        assert estimate_from_phase(0, 3) == 0.0
 
     def test_half_amplitude_exact_phase(self):
         inst = half_amplitude_instance()
@@ -259,6 +261,7 @@ class TestLedgerAndSampler:
             assert ledger.a_calls == 2**m
             assert ledger.a_inv_calls == 2**m - 1
             assert ledger.quantum_samples == 2 ** (m + 1) - 1
+            assert run_ledger(m, runs=17) == QueryLedger(17 * 2**m, 17 * (2**m - 1))
 
     def test_sampler_quick_coverage(self):
         # Outcome draws should respect the error radius about 8/pi^2 of the time.
@@ -266,8 +269,21 @@ class TestLedgerAndSampler:
         rng = np.random.default_rng(77)
         radius = ae_error_bound(a, m)
         dist = closed_form_ae_distribution(a, m)
-        hits = sum(abs(estimate_from_phase(draw_outcome(dist, rng), m) - a) <= radius for _ in range(n))
+        ys = draw_outcome(np.cumsum(dist), rng.random(n))
+        hits = np.sum(np.abs(phase_estimates(m)[ys] - a) <= radius)
         assert hits / n >= 0.75
+
+    def test_draw_is_the_inverse_cdf(self):
+        # Deviate u maps to the first outcome whose cumulative mass exceeds
+        # it; a deviate at or past the last entry maps to the last outcome.
+        cdf = np.cumsum([0.25, 0.0, 0.5, 0.25 - 1e-12])
+        u = np.array([0.0, 0.2499, 0.25, 0.7, 0.75, 1.0 - 1e-13])
+        assert draw_outcome(cdf, u).tolist() == [0, 0, 2, 2, 3, 3]
+
+    @pytest.mark.parametrize("m", [1, 4, 9])
+    def test_phase_table_keeps_the_scalar_bits(self, m):
+        assert phase_estimates(m).tolist() == [estimate_from_phase(y, m) for y in range(2**m)]
+        assert not phase_estimates(m).flags.writeable  # shared between callers
 
 
 class TestLayout:

@@ -1,4 +1,5 @@
-"""Learner tests: budget split, argmin selection, deterministic reduction."""
+"""Learner tests: budget split, argmin selection, batch streams, deterministic reduction."""
+import math
 import warnings
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qal.estimator as estimator
+from qal.estimator import estimate_mean, outcome_distribution
 from qal.learner import allocate_budget, argmin_risk_transfer, learn
 from qal.problem import exact_statistics, random_instance
 
@@ -128,6 +131,63 @@ class TestLearn:
         fitted = np.polyval(coef, u)
         rel = np.abs(fitted - np.array(budgets)) / np.array(budgets)
         assert rel.max() <= 0.2
+
+
+random_shapes = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 2**31 - 1),
+        "x_size": st.integers(1, 3),
+        "y_size": st.integers(1, 3),
+        "h_size": st.integers(1, 6),
+        "loss_kind": st.sampled_from(["zero_one", "squared"]),
+    }
+)
+
+
+def inverse_cdf_oracle(law, u):
+    """Outcome of each deviate: the number of cumulative masses at or below it, capped."""
+    cdf = np.cumsum(law)
+    return [min(int(np.count_nonzero(cdf <= x)), law.size - 1) for x in u]
+
+
+class TestBatchStreams:
+    @settings(max_examples=25, deadline=None)
+    @given(shape=random_shapes, seed=st.integers(0, 2**32 - 1), engine=st.sampled_from(["analytic", "statevector"]))
+    def test_learn_equals_estimate_mean_on_child_streams(self, shape, seed, engine):
+        inst = random_instance(**shape)
+        h = len(inst.hypotheses)
+        result = learn(inst, epsilon=0.1, delta=0.1, rng=seed, engine=engine)
+        children = np.random.default_rng(seed).spawn(h)
+        for f, child in zip(inst.hypotheses, children):
+            assert result.estimates[f.id] == estimate_mean(inst, f, 0.1 / 2, 0.1 / h, rng=child, engine=engine)
+
+    @settings(max_examples=25, deadline=None)
+    @given(shape=random_shapes, seed=st.integers(0, 2**32 - 1), engine=st.sampled_from(["analytic", "statevector"]))
+    def test_raw_estimates_follow_one_uniform_vector(self, shape, seed, engine):
+        inst = random_instance(**shape)
+        f = inst.hypotheses[seed % len(inst.hypotheses)]
+        r = estimate_mean(inst, f, 0.05 * inst.loss.bound, 0.05, rng=seed, engine=engine)
+        u = np.random.default_rng(seed).random(r.repetitions)
+        ys = inverse_cdf_oracle(outcome_distribution(inst, f, r.m, engine=engine), u)
+        expected = tuple(math.sin(math.pi * y / 2**r.m) ** 2 for y in ys)
+        assert r.raw_estimates == expected
+        assert r.mu_hat == inst.loss.bound * sorted(expected)[r.repetitions // 2]
+
+    @pytest.mark.parametrize("engine", ["analytic", "statevector"])
+    def test_one_law_per_distinct_loss_row(self, monkeypatch, engine):
+        # The wide-class benchmark instance: 512 zero-one tables over four x
+        # codes and two labels, so at most 16 distinct loss rows.
+        inst = random_instance(1, x_size=4, y_size=2, h_size=512, loss_kind="zero_one")
+        laws = []
+
+        def counting(inst, f, m, **kwargs):
+            laws.append(f.id)
+            return outcome_distribution(inst, f, m, **kwargs)
+
+        monkeypatch.setattr(estimator, "outcome_distribution", counting)
+        result = learn(inst, epsilon=0.05, delta=0.05, rng=3, engine=engine)
+        assert len(result.estimates) == 512
+        assert len(laws) == len(set(laws)) == len(np.unique(inst.losses, axis=0)) == 16
 
 
 class TestArgminRiskTransfer:

@@ -1,5 +1,6 @@
 """Problem-model tests: losses, exact risks, decomposition, loading."""
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -22,9 +23,9 @@ from qal.problem import (
     regression_and_variance,
     squared_risk_decomposition,
 )
+from qal.cli import main
 
-
-from conftest import table_loss_instance
+from conftest import json_values, mutate_json, table_loss_instance
 
 
 def brute_force_risk(inst, f):
@@ -361,6 +362,63 @@ class TestLoading:
             loss=LossSpec("zero_one", 1.0),
         )
         assert math.fsum(z.p for z in inst.support) == pytest.approx(1.0, abs=1e-15)
+
+
+def demo2_json(repo_root):
+    return json.loads((repo_root / "instances" / "demo2.json").read_text())
+
+
+class TestInstanceJsonShape:
+    # Each of these once escaped as a TypeError traceback with exit code 1.
+    @pytest.mark.parametrize(
+        "path,value,field",
+        [
+            ((), [1, 2], "expected object"),
+            (("support",), 5, "support: expected array"),
+            (("support", 0), "x", r"support\[0\]: expected object"),
+            (("support", 1, "p"), "0.2", r"support\[1\]\.p"),
+            (("support", 2, "x"), 1.5, r"support\[2\]\.x"),
+            (("hypotheses", 0, "table"), None, r"hypotheses\[0\]\.table"),
+            (("hypotheses", 1, "id"), 7, r"hypotheses\[1\]\.id"),
+            (("y_values", 1), True, r"y_values\[1\]"),
+            (("loss",), "zero_one", "loss: expected object"),
+            (("k",), "2", "k: expected integer"),
+        ],
+    )
+    def test_wrong_shape_names_field(self, repo_root, tmp_path, capsys, path, value, field):
+        obj = demo2_json(repo_root)
+        if path:
+            parent = obj
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        else:
+            obj = value
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match=field):
+            load_instance(inst_path)
+        args = ["--instance", str(inst_path), "--epsilon", "0.1", "--delta", "0.1", "--seed", "1"]
+        assert main(["estimate", "--hypothesis", "identity", *args]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_missing_field_is_named(self, repo_root, tmp_path):
+        obj = demo2_json(repo_root)
+        del obj["support"][3]["p"]
+        (tmp_path / "inst.json").write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match=r"support\[3\]\.p: missing field"):
+            load_instance(tmp_path / "inst.json")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), value=json_values)
+    def test_any_json_value_anywhere_loads_or_is_rejected(self, repo_root, tmp_path_factory, data, value):
+        path = tmp_path_factory.mktemp("fuzz") / "inst.json"
+        path.write_text(json.dumps(mutate_json(data, demo2_json(repo_root), value)))
+        try:
+            inst = load_instance(path)
+        except ValidationError:
+            return
+        assert len(inst.risks) == len(inst.hypotheses) >= 1
 
 
 class TestExactStatistics:
