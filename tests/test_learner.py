@@ -156,10 +156,12 @@ class TestBatchStreams:
     def test_learn_equals_estimate_mean_on_child_streams(self, shape, seed, engine):
         inst = random_instance(**shape)
         h = len(inst.hypotheses)
-        result = learn(inst, epsilon=0.1, delta=0.1, rng=seed, engine=engine)
+        # epsilon is on the original loss scale; squared instances can have a bound far below 1.
+        epsilon = 0.1 * min(inst.loss.bound, 1.0)
+        result = learn(inst, epsilon=epsilon, delta=0.1, rng=seed, engine=engine)
         children = np.random.default_rng(seed).spawn(h)
         for f, child in zip(inst.hypotheses, children):
-            assert result.estimates[f.id] == estimate_mean(inst, f, 0.1 / 2, 0.1 / h, rng=child, engine=engine)
+            assert result.estimates[f.id] == estimate_mean(inst, f, epsilon / 2, 0.1 / h, rng=child, engine=engine)
 
     @settings(max_examples=25, deadline=None)
     @given(shape=random_shapes, seed=st.integers(0, 2**32 - 1), engine=st.sampled_from(["analytic", "statevector"]))
