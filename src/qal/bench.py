@@ -15,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .classical import erm_learn
+from .classical import erm_learn, hoeffding_sample_size
 from .engine import CapacityError
 from .estimator import ENGINE_MODES
-from .learner import learn
+from .learner import allocate_budget, learn
 from .problem import (
     ProblemInstance,
     ValidationError,
@@ -143,6 +143,25 @@ def resolve_instance(config: BenchConfig) -> tuple[str, ProblemInstance]:
     return f"random-{config.random_spec['seed']}", random_instance(**config.random_spec)
 
 
+def _check_cells(config: BenchConfig, inst: ProblemInstance) -> None:
+    """Reject the grid if a learner would refuse one of its cells.
+
+    Applies the learners' own rules: the classical Hoeffding count must
+    exist (epsilon below the loss bound, count within int64), and the
+    quantum per-hypothesis accuracy epsilon/2 must lie below the bound.
+    Capacity is not checked: such a cell writes rows with a reason.
+    """
+    h_size, bound = len(inst.hypotheses), inst.loss.bound
+    for method, (i, epsilon), delta in product(config.methods, enumerate(config.epsilons), config.deltas):
+        try:
+            if method == "classical":
+                hoeffding_sample_size(bound, h_size, epsilon, delta)
+            elif not (eps_h := allocate_budget(h_size, epsilon, delta)[0]) < bound:
+                raise ValueError(f"per-hypothesis accuracy epsilon/2 = {eps_h} must lie below the loss bound {bound}")
+        except ValueError as e:
+            raise ValidationError(f"epsilons[{i}]: {method} cell rejected: {e}") from None
+
+
 def _trial_rng(base_seed: int, cell_index: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([base_seed, cell_index, trial]))
 
@@ -150,10 +169,12 @@ def _trial_rng(base_seed: int, cell_index: int, trial: int) -> np.random.Generat
 def run_bench(config: BenchConfig, out_path: str | Path) -> list[BenchRow]:
     """Run every grid cell, write the CSV, and return the rows.
 
+    Every cell is checked against the instance before the first one runs.
     Cells run in deterministic (method, epsilon, delta) order with rows
     buffered per cell, so output does not depend on scheduling.
     """
     instance_id, inst = resolve_instance(config)
+    _check_cells(config, inst)
     stats = exact_statistics(inst)
     best_risk = stats.risks[stats.best_id]
     rows: list[BenchRow] = []

@@ -2,7 +2,10 @@
 
 The sample size is the Hoeffding/union-bound count for per-hypothesis
 accuracy epsilon/2 at confidence delta/|H|; all hypotheses share a single
-draw, matching the standard uniform-convergence argument.
+draw, matching the standard uniform-convergence argument. ERM reads only
+the per-support-point counts of that draw, so it draws them directly as
+one Multinomial(n, p) vector: the same law as counting n i.i.d. draws, in
+O(|support|) time and memory instead of O(n).
 """
 from __future__ import annotations
 
@@ -13,6 +16,8 @@ import numpy as np
 
 from .problem import ProblemInstance
 
+INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class ClassicalLearnResult:
@@ -22,7 +27,10 @@ class ClassicalLearnResult:
 
 
 def hoeffding_sample_size(bound: float, h_size: int, epsilon: float, delta: float) -> int:
-    """i.i.d. draws sufficient for ERM at accuracy epsilon, confidence 1 - delta."""
+    """i.i.d. draws sufficient for ERM at accuracy epsilon, confidence 1 - delta.
+
+    A count above the int64 maximum, which numpy cannot draw, raises ValueError.
+    """
     if bound <= 0:
         raise ValueError(f"loss bound must be positive, got {bound}")
     if h_size < 1:
@@ -31,7 +39,11 @@ def hoeffding_sample_size(bound: float, h_size: int, epsilon: float, delta: floa
         raise ValueError(f"epsilon must lie in (0, {bound}), got {epsilon}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return math.ceil(2.0 * bound * bound * math.log(2.0 * h_size / delta) / (epsilon * epsilon))
+    eps2 = epsilon * epsilon  # 0.0 once epsilon < ~1e-162: the count is then unbounded
+    raw = 2.0 * bound * bound * math.log(2.0 * h_size / delta) / eps2 if eps2 else math.inf
+    if raw > INT64_MAX:
+        raise ValueError(f"epsilon={epsilon} needs {raw:.3g} draws, more than the int64 maximum {INT64_MAX}")
+    return math.ceil(raw)
 
 
 def draw_iid_samples(
@@ -59,11 +71,13 @@ def erm_learn(
 ) -> ClassicalLearnResult:
     """Draw one Hoeffding-sized sample, return the empirical-risk argmin.
 
-    Ties break toward the lower hypothesis index.
+    The sample's per-support-point counts are drawn as one
+    Multinomial(n, p) vector from rng, the law of the counts of n i.i.d.
+    draws, so memory stays O(|support|) at any n. Ties break toward the
+    lower hypothesis index.
     """
     n = hoeffding_sample_size(inst.loss.bound, len(inst.hypotheses), epsilon, delta)
-    samples = draw_iid_samples(inst, n, rng)
-    counts = np.bincount(samples, minlength=len(inst.support))
+    counts = np.random.default_rng(rng).multinomial(n, inst.probabilities)
     risks = loss_matrix(inst) @ counts / n
     chosen = int(np.argmin(risks))
     return ClassicalLearnResult(

@@ -218,6 +218,46 @@ class TestConfigValidation:
             load_bench_config(path)
 
 
+class TestCellChecks:
+    # Each grid used to run its first cells, then stop at the bad one with
+    # no CSV written: a ValueError (exit 2) or an OverflowError (exit 1).
+    @pytest.mark.parametrize(
+        "bound,epsilons,methods",
+        [
+            (0.5, [0.1, 0.6], ["quantum", "classical"]),  # classical needs epsilon < bound
+            (0.2, [0.1, 0.5], ["quantum"]),  # quantum needs epsilon/2 < bound
+        ],
+    )
+    def test_epsilon_beyond_loss_bound_rejected_before_any_cell(
+        self, repo_root, tmp_path, capsys, bound, epsilons, methods
+    ):
+        obj = json.loads((repo_root / "instances" / "demo2.json").read_text())
+        obj["loss"] = {
+            "kind": "table",
+            "bound": bound,
+            "table": {h["id"]: [[0.0, bound], [bound, 0.0]] for h in obj["hypotheses"]},
+        }
+        (tmp_path / "inst.json").write_text(json.dumps(obj))
+        config = demo2_config(repo_root, instance=str(tmp_path / "inst.json"), epsilons=epsilons, methods=methods)
+        self.assert_rejected(tmp_path, capsys, config)
+
+    def test_hoeffding_count_beyond_int64_rejected_before_any_cell(self, repo_root, tmp_path, capsys):
+        config = demo2_config(repo_root, instance=str(repo_root / "instances" / "separation.json"), epsilons=[0.1, 1e-9])
+        self.assert_rejected(tmp_path, capsys, config)
+
+    @staticmethod
+    def assert_rejected(tmp_path, capsys, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValidationError, match=r"epsilons\[1\]"):
+            run_bench(load_bench_config(path), out)
+        assert not out.exists()
+        assert main(["bench", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: epsilons[1]")
+        assert not out.exists()
+
+
 class TestVerify:
     def test_default_checks_pass(self):
         results = verify(quick=True)
@@ -273,6 +313,20 @@ class TestCli:
             payload = json.loads(capsys.readouterr().out)
             assert payload["method"] == method
             assert payload["chosen_id"] in {"identity", "flip", "const0", "const1"}
+
+    def test_classical_count_beyond_int64_is_usage_error(self, repo_root, capsys):
+        code = main(
+            [
+                "learn",
+                "--instance", str(repo_root / "instances" / "separation.json"),
+                "--epsilon", "1e-9",
+                "--delta", "0.05",
+                "--seed", "1",
+                "--method", "classical",
+            ]
+        )
+        assert code == 2
+        assert "int64" in capsys.readouterr().err
 
     def test_bench_writes_csv(self, repo_root, tmp_path, capsys):
         config = {

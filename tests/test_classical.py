@@ -1,5 +1,6 @@
 """Classical-baseline tests: sample sizing, i.i.d. draws, ERM behavior."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from qal.classical import draw_iid_samples, erm_learn, hoeffding_sample_size, loss_matrix
 from qal.problem import best_hypothesis, exact_statistics, random_instance
 
-from conftest import constant_risk_class
+from conftest import constant_risk_class, table_loss_instance
 
 
 class TestHoeffdingSampleSize:
@@ -35,6 +36,15 @@ class TestHoeffdingSampleSize:
                 hoeffding_sample_size(1.0, 4, e, 0.1) for e in (eps, eps / 2)
             )
             assert abs(n_half - 4 * n) <= 4  # ceiling slack only
+
+    @pytest.mark.parametrize("epsilon", [1e-9, 1e-200])
+    def test_rejects_counts_beyond_int64(self, epsilon):
+        with pytest.raises(ValueError, match="int64"):
+            hoeffding_sample_size(4.0, 4, epsilon, 0.05)
+
+    def test_count_near_int64_accepted(self):
+        n = hoeffding_sample_size(1.0, 1, 1e-9, 0.5)
+        assert 2**61 < n <= np.iinfo(np.int64).max
 
     def test_bound_enters_quadratically(self):
         n1 = hoeffding_sample_size(1.0, 4, 0.1, 0.1)
@@ -85,14 +95,45 @@ class TestErmLearn:
         result = erm_learn(demo2, 0.1, 0.05, rng=0)
         assert result.samples_used == hoeffding_sample_size(1.0, 4, 0.1, 0.05)
 
-    def test_empirical_risks_come_from_one_shared_draw(self, demo2):
+    def test_empirical_risks_are_one_multinomial_draw(self, demo2):
+        # Stream contract: the counts are one Multinomial(n, p) draw from rng.
         n = hoeffding_sample_size(1.0, 4, 0.2, 0.2)
-        result = erm_learn(demo2, 0.2, 0.2, rng=11)
-        samples = draw_iid_samples(demo2, n, rng=11)
-        counts = np.bincount(samples, minlength=len(demo2.support))
-        expected = loss_matrix(demo2) @ counts / n
-        for f, e in zip(demo2.hypotheses, expected):
-            assert result.empirical_risks[f.id] == pytest.approx(e, abs=1e-15)
+        for seed in (11, 12, 13):
+            result = erm_learn(demo2, 0.2, 0.2, rng=seed)
+            counts = np.random.default_rng(seed).multinomial(n, demo2.probabilities)
+            expected = demo2.losses @ counts / n
+            assert result.empirical_risks == {f.id: float(e) for f, e in zip(demo2.hypotheses, expected)}
+
+    def test_counts_follow_the_multinomial_law(self):
+        # Hypothesis cj has loss 1 on support code j only, so its empirical
+        # risk is count_j / n. About 1e9 draws per call: counting that many
+        # i.i.d. codes would take 8 GB a call.
+        probs = np.array([0.3, 0.2, 0.1, 0.4])
+        cells = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        inst = table_loss_instance(
+            probs,
+            {f"c{j}": [[float((x, y) == cell) for y in (0, 1)] for x in (0, 1)] for j, cell in enumerate(cells)},
+            bound=1.0,
+        )
+        seeds = 1000
+        results = [erm_learn(inst, 1e-4, 0.05, rng=s) for s in range(seeds)]
+        n = results[0].samples_used
+        assert n > 10**9
+        counts = np.array([[round(r.empirical_risks[f"c{j}"] * n) for j in range(4)] for r in results])
+        assert np.all(counts.sum(axis=1) == n)
+        var = n * probs * (1 - probs)
+        # 5 standard errors for the mean; the sample variance's relative
+        # standard error is sqrt(2 / (seeds - 1)).
+        assert np.all(np.abs(counts.mean(axis=0) - n * probs) <= 5 * np.sqrt(var / seeds))
+        assert np.all(np.abs(counts.var(axis=0, ddof=1) / var - 1) <= 5 * math.sqrt(2 / (seeds - 1)))
+
+    def test_count_above_1e10_runs_in_constant_memory(self, demo2):
+        start = time.perf_counter()
+        result = erm_learn(demo2, 3e-5, 0.05, rng=1)
+        elapsed = time.perf_counter() - start
+        assert result.samples_used > 10**10
+        assert result.chosen_id == best_hypothesis(demo2)
+        assert elapsed < 0.5
 
     def test_exact_risks_would_reproduce_best_hypothesis(self, demo2):
         stats = exact_statistics(demo2)
