@@ -8,7 +8,6 @@ identical across runs of the same config.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -28,6 +27,7 @@ from .problem import (
     field,
     load_instance,
     random_instance,
+    read_json,
 )
 
 CSV_HEADER = "instance_id,method,epsilon,delta,trial,samples_used,success,risk_gap,reason"
@@ -118,12 +118,7 @@ class BenchRow:
 
 def load_bench_config(path: str | Path) -> BenchConfig:
     """Load a grid config; wrong-shaped JSON raises ValidationError naming the field."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as e:  # bad JSON, bad UTF-8, or an integer too long to parse
-            raise ValidationError(f"{path}: not valid JSON ({e})") from None
-    obj = expect(obj, "object", str(path))
+    obj = read_json(path)
     instance = obj.get("instance")
     return BenchConfig(
         epsilons=tuple(expect_list(field(obj, "epsilons", "array"), "number", "epsilons")),
@@ -169,9 +164,10 @@ def _trial_rng(base_seed: int, cell_index: int, trial: int) -> np.random.Generat
 def run_bench(config: BenchConfig, out_path: str | Path) -> list[BenchRow]:
     """Run every grid cell, write the CSV, and return the rows.
 
-    Every cell is checked against the instance before the first one runs.
-    Cells run in deterministic (method, epsilon, delta) order with rows
-    buffered per cell, so output does not depend on scheduling.
+    Every cell is checked against the instance, and the output file is
+    opened, before the first cell runs. Cells run in deterministic
+    (method, epsilon, delta) order and each row is written as its trial
+    ends, so the output depends on the config alone.
     """
     instance_id, inst = resolve_instance(config)
     _check_cells(config, inst)
@@ -179,32 +175,26 @@ def run_bench(config: BenchConfig, out_path: str | Path) -> list[BenchRow]:
     best_risk = stats.risks[stats.best_id]
     rows: list[BenchRow] = []
     cells = list(product(config.methods, config.epsilons, config.deltas))
-    for cell_index, (method, epsilon, delta) in enumerate(cells):
-        cell_rows = []
-        for trial in range(config.trials):
-            rng = _trial_rng(config.base_seed, cell_index, trial)
-            try:
-                if method == "quantum":
-                    result = learn(inst, epsilon, delta, rng=rng, engine=config.engine)
-                    chosen, samples = result.chosen_id, result.total_quantum_samples
-                else:
-                    result = erm_learn(inst, epsilon, delta, rng=rng)
-                    chosen, samples = result.chosen_id, result.samples_used
-                gap = stats.risks[chosen] - best_risk
-                cell_rows.append(
-                    BenchRow(instance_id, method, epsilon, delta, trial, samples, int(gap <= epsilon), gap)
-                )
-            except CapacityError as e:
-                cell_rows.append(
-                    BenchRow(instance_id, method, epsilon, delta, trial, 0, 0, float("nan"), reason=str(e))
-                )
-        rows.extend(cell_rows)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row.render() + "\n")
+        for cell_index, (method, epsilon, delta) in enumerate(cells):
+            for trial in range(config.trials):
+                rng = _trial_rng(config.base_seed, cell_index, trial)
+                try:
+                    if method == "quantum":
+                        result = learn(inst, epsilon, delta, rng=rng, engine=config.engine)
+                        chosen, samples = result.chosen_id, result.total_quantum_samples
+                    else:
+                        result = erm_learn(inst, epsilon, delta, rng=rng)
+                        chosen, samples = result.chosen_id, result.samples_used
+                    gap = stats.risks[chosen] - best_risk
+                    row = BenchRow(instance_id, method, epsilon, delta, trial, samples, int(gap <= epsilon), gap)
+                except CapacityError as e:
+                    row = BenchRow(instance_id, method, epsilon, delta, trial, 0, 0, float("nan"), reason=str(e))
+                fh.write(row.render() + "\n")
+                rows.append(row)
     return rows
 
 

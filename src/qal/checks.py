@@ -1,8 +1,8 @@
 """Bundled self-checks behind `qal verify`.
 
 Each check exercises one cross-module identity or law on fixed seeds and
-reports observed against required values. Capacity problems surface as
-failed checks with the error text, never as crashes.
+reports observed against required values. Every register they build fits
+well inside the engine's qubit cap.
 """
 from __future__ import annotations
 
@@ -11,8 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
-    DEFAULT_QUBIT_CAP,
-    CapacityError,
     ae_error_bound,
     closed_form_ae_distribution,
     loss_encoded_state,
@@ -27,6 +25,7 @@ MARKED_MASS_TOL = 1e-10
 DECOMPOSITION_TOL = 1e-12
 TV_TOL = 1e-9
 INTERVAL_MASS_FLOOR = 8.0 / np.pi**2
+SEED = 20240
 
 
 @dataclass(frozen=True)
@@ -41,25 +40,22 @@ def _tv(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(p - q).sum())
 
 
-def check_marked_mass_identity(n_pairs: int, seed: int, qubit_cap: int) -> CheckResult:
+def check_marked_mass_identity(n_pairs: int, seed: int) -> CheckResult:
     """Ancilla-one mass of the prepared state equals the rescaled exact risk."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    try:
-        for _ in range(n_pairs):
-            inst = random_instance(
-                int(rng.integers(0, 2**31)),
-                x_size=int(rng.integers(2, 5)),
-                y_size=int(rng.integers(2, 4)),
-                h_size=2,
-                loss_kind=str(rng.choice(["zero_one", "squared"])),
-            )
-            f = inst.hypotheses[int(rng.integers(0, 2))]
-            a_sim = marked_probability(loss_encoded_state(inst, f))
-            a_exact = exact_risk(inst, f) / inst.loss.bound
-            worst = max(worst, abs(a_sim - a_exact))
-    except CapacityError as e:
-        return CheckResult("marked-mass-identity", False, f"capacity error: {e}", f"<= {MARKED_MASS_TOL}")
+    for _ in range(n_pairs):
+        inst = random_instance(
+            int(rng.integers(0, 2**31)),
+            x_size=int(rng.integers(2, 5)),
+            y_size=int(rng.integers(2, 4)),
+            h_size=2,
+            loss_kind=str(rng.choice(["zero_one", "squared"])),
+        )
+        f = inst.hypotheses[int(rng.integers(0, 2))]
+        a_sim = marked_probability(loss_encoded_state(inst, f))
+        a_exact = exact_risk(inst, f) / inst.loss.bound
+        worst = max(worst, abs(a_sim - a_exact))
     return CheckResult(
         "marked-mass-identity", worst <= MARKED_MASS_TOL, f"max |a_sim - a_exact| = {worst:.3e}",
         f"<= {MARKED_MASS_TOL}",
@@ -87,69 +83,58 @@ def check_risk_decomposition(n_instances: int, seed: int) -> CheckResult:
     )
 
 
-def check_ae_interval_mass(ms: tuple[int, ...], qubit_cap: int) -> CheckResult:
+def check_ae_interval_mass(ms: tuple[int, ...]) -> CheckResult:
     """Simulated outcome mass within the error radius beats 8/pi^2."""
     inst = demo_instance()
     f = inst.hypotheses[0]
     a = exact_risk(inst, f) / inst.loss.bound
     worst = 1.0
-    try:
-        for m in ms:
-            dist = simulate_ae_distribution(inst, f, m, qubit_cap=qubit_cap)
-            radius = ae_error_bound(a, m)
-            hats = phase_estimates(m)
-            mass = float(dist[np.abs(hats - a) <= radius].sum())
-            worst = min(worst, mass)
-    except CapacityError as e:
-        return CheckResult("ae-interval-mass", False, f"capacity error: {e}", f">= {INTERVAL_MASS_FLOOR:.4f}")
+    for m in ms:
+        dist = simulate_ae_distribution(inst, f, m)
+        radius = ae_error_bound(a, m)
+        hats = phase_estimates(m)
+        mass = float(dist[np.abs(hats - a) <= radius].sum())
+        worst = min(worst, mass)
     return CheckResult(
         "ae-interval-mass", worst >= INTERVAL_MASS_FLOOR, f"min in-interval mass = {worst:.4f}",
         f">= {INTERVAL_MASS_FLOOR:.4f}",
     )
 
 
-def check_oracle_equivalence(n_instances: int, seed: int, qubit_cap: int) -> CheckResult:
+def check_oracle_equivalence(n_instances: int, seed: int) -> CheckResult:
     """Simulated and closed-form outcome laws agree in total variation."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    try:
-        for _ in range(n_instances):
-            inst = random_instance(
-                int(rng.integers(0, 2**31)),
-                x_size=int(rng.integers(2, 5)),
-                y_size=2,
-                h_size=2,
-                loss_kind=str(rng.choice(["zero_one", "squared"])),
-            )
-            f = inst.hypotheses[int(rng.integers(0, 2))]
-            m = int(rng.integers(2, 6))
-            sim = simulate_ae_distribution(inst, f, m, qubit_cap=qubit_cap)
-            law = closed_form_ae_distribution(exact_risk(inst, f) / inst.loss.bound, m)
-            worst = max(worst, _tv(sim, law))
-    except CapacityError as e:
-        return CheckResult("oracle-equivalence", False, f"capacity error: {e}", f"TV <= {TV_TOL}")
+    for _ in range(n_instances):
+        inst = random_instance(
+            int(rng.integers(0, 2**31)),
+            x_size=int(rng.integers(2, 5)),
+            y_size=2,
+            h_size=2,
+            loss_kind=str(rng.choice(["zero_one", "squared"])),
+        )
+        f = inst.hypotheses[int(rng.integers(0, 2))]
+        m = int(rng.integers(2, 6))
+        sim = simulate_ae_distribution(inst, f, m)
+        law = closed_form_ae_distribution(exact_risk(inst, f) / inst.loss.bound, m)
+        worst = max(worst, _tv(sim, law))
     return CheckResult("oracle-equivalence", worst <= TV_TOL, f"max TV = {worst:.3e}", f"TV <= {TV_TOL}")
 
 
-def check_garbage_invariance(n_instances: int, seed: int, qubit_cap: int) -> CheckResult:
+def check_garbage_invariance(n_instances: int, seed: int) -> CheckResult:
     """Attaching random garbage states leaves the outcome law unchanged."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    try:
-        for _ in range(n_instances):
-            inst = random_instance(
-                int(rng.integers(0, 2**31)), x_size=2, y_size=2, h_size=2,
-                loss_kind=str(rng.choice(["zero_one", "squared"])),
-            )
-            f = inst.hypotheses[0]
-            m = int(rng.integers(2, 5))
-            plain = simulate_ae_distribution(inst, f, m, qubit_cap=qubit_cap)
-            garbled = simulate_ae_distribution(
-                inst, f, m, garbage_mode=True, rng=rng, qubit_cap=qubit_cap
-            )
-            worst = max(worst, _tv(plain, garbled))
-    except CapacityError as e:
-        return CheckResult("garbage-invariance", False, f"capacity error: {e}", f"TV <= {TV_TOL}")
+    for _ in range(n_instances):
+        inst = random_instance(
+            int(rng.integers(0, 2**31)), x_size=2, y_size=2, h_size=2,
+            loss_kind=str(rng.choice(["zero_one", "squared"])),
+        )
+        f = inst.hypotheses[0]
+        m = int(rng.integers(2, 5))
+        plain = simulate_ae_distribution(inst, f, m)
+        garbled = simulate_ae_distribution(inst, f, m, garbage_mode=True, rng=rng)
+        worst = max(worst, _tv(plain, garbled))
     return CheckResult("garbage-invariance", worst <= TV_TOL, f"max TV = {worst:.3e}", f"TV <= {TV_TOL}")
 
 
@@ -169,14 +154,14 @@ def check_argmin_transfer(n_triples: int, seed: int) -> CheckResult:
     )
 
 
-def verify(quick: bool = False, seed: int = 20240, qubit_cap: int = DEFAULT_QUBIT_CAP) -> list[CheckResult]:
+def verify(quick: bool = False) -> list[CheckResult]:
     """Run every bundled check; all-pass means the build is self-consistent."""
     n = 1 if quick else 4
     return [
-        check_marked_mass_identity(5 * n, seed, qubit_cap),
-        check_risk_decomposition(8 * n, seed + 1),
-        check_ae_interval_mass((3, 4) if quick else (3, 4, 5, 6), qubit_cap),
-        check_oracle_equivalence(3 * n, seed + 2, qubit_cap),
-        check_garbage_invariance(2 * n, seed + 3, qubit_cap),
-        check_argmin_transfer(500 * n, seed + 4),
+        check_marked_mass_identity(5 * n, SEED),
+        check_risk_decomposition(8 * n, SEED + 1),
+        check_ae_interval_mass((3, 4) if quick else (3, 4, 5, 6)),
+        check_oracle_equivalence(3 * n, SEED + 2),
+        check_garbage_invariance(2 * n, SEED + 3),
+        check_argmin_transfer(500 * n, SEED + 4),
     ]

@@ -86,7 +86,6 @@ def _cmd_learn(args) -> int:
             "samples_used": result.total_quantum_samples,
             "budget": {"epsilon_per_hypothesis": result.budget[0], "delta_per_hypothesis": result.budget[1]},
         }
-        chosen = result.chosen_id
     else:
         result = erm_learn(inst, args.epsilon, args.delta, rng=args.seed)
         payload = {
@@ -95,9 +94,9 @@ def _cmd_learn(args) -> int:
             "empirical_risks": result.empirical_risks,
             "samples_used": result.samples_used,
         }
-        chosen = result.chosen_id
-    payload["risk_gap"] = stats.risks[chosen] - best
-    payload["success"] = stats.risks[chosen] - best <= args.epsilon
+    risk_gap = stats.risks[result.chosen_id] - best
+    payload["risk_gap"] = risk_gap
+    payload["success"] = risk_gap <= args.epsilon
     print(json.dumps(payload, indent=2))
     return 0
 

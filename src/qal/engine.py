@@ -27,12 +27,12 @@ import numpy as np
 
 from .problem import Hypothesis, ProblemInstance
 
-DEFAULT_QUBIT_CAP = 24
+QUBIT_CAP = 24  # the full statevector of the register must fit in memory
 NORM_TOL = 1e-10
 
 
 class CapacityError(RuntimeError):
-    """A requested register layout exceeds the configured qubit cap."""
+    """A requested register layout exceeds the qubit cap."""
 
 
 @dataclass(frozen=True)
@@ -42,15 +42,14 @@ class QubitLayout:
     k: int
     m: int
     garbage: int = 0
-    cap: int = DEFAULT_QUBIT_CAP
 
     def __post_init__(self):
         if self.k < 1 or self.m < 1:
             raise ValueError(f"layout needs k >= 1 and m >= 1, got k={self.k}, m={self.m}")
-        if self.total > self.cap:
+        if self.total > QUBIT_CAP:
             raise CapacityError(
                 f"layout needs {self.total} qubits (k={self.k}, garbage={self.garbage}, "
-                f"1 loss ancilla, m={self.m}) but the cap is {self.cap}"
+                f"1 loss ancilla, m={self.m}) but the cap is {QUBIT_CAP}"
             )
 
     @property
@@ -126,39 +125,25 @@ def _rescaled_losses(inst: ProblemInstance, f: Hypothesis) -> np.ndarray:
     return vals
 
 
-def apply_loss_rotation(state: np.ndarray, inst: ProblemInstance, f: Hypothesis) -> np.ndarray:
-    """Rotate the loss ancilla by the per-code angle of the rescaled loss.
-
-    Acts as a direct per-basis-state rotation: amplitude on |z>|0> splits
-    into sqrt(1 - L(z)) |z>|0> + sqrt(L(z)) |z>|1>.
-    """
-    vals = _rescaled_losses(inst, f)
-    dim = vals.size
-    blocks = state.size // (2 * dim)
-    reshaped = state.reshape(blocks, dim, 2)
-    c = np.sqrt(1.0 - vals)[None, :]
-    s = np.sqrt(vals)[None, :]
-    a0 = reshaped[:, :, 0].copy()
-    a1 = reshaped[:, :, 1].copy()
-    out = np.empty_like(reshaped)
-    out[:, :, 0] = c * a0 - s * a1
-    out[:, :, 1] = s * a0 + c * a1
-    out = out.reshape(-1)
-    _check_norm(out)
-    return out
-
-
 def loss_encoded_state(
     inst: ProblemInstance,
     f: Hypothesis,
     garbage_mode: bool = False,
     rng: np.random.Generator | int | None = None,
 ) -> np.ndarray:
-    """Prepare the data state, append a fresh loss ancilla, apply the rotation."""
-    base = prepare_data_state(inst, garbage_mode=garbage_mode, rng=rng)
-    state = np.zeros(2 * base.size, dtype=complex)
-    state[0::2] = base
-    return apply_loss_rotation(state, inst, f)
+    """Prepare the data state, append a fresh loss ancilla, and rotate it.
+
+    The rotation acts per basis state: amplitude on |z>|0> splits into
+    sqrt(1 - L(z)) |z>|0> + sqrt(L(z)) |z>|1>, L the rescaled loss.
+    """
+    base = prepare_data_state(inst, garbage_mode=garbage_mode, rng=rng).reshape(-1, 2**inst.k)
+    vals = _rescaled_losses(inst, f)
+    state = np.empty(base.shape + (2,), dtype=complex)
+    state[..., 0] = base * np.sqrt(1.0 - vals)
+    state[..., 1] = base * np.sqrt(vals)
+    state = state.reshape(-1)
+    _check_norm(state)
+    return state
 
 
 def marked_probability(state: np.ndarray) -> float:
@@ -183,7 +168,6 @@ def simulate_ae_state(
     m: int,
     garbage_mode: bool = False,
     rng: np.random.Generator | int | None = None,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> np.ndarray:
     """Run the full phase-estimation circuit; return the pre-measurement state.
 
@@ -192,7 +176,7 @@ def simulate_ae_state(
     Q^(2^j), row y is exactly Q^y psi / sqrt(2^m), so the rows are built in
     order, one iterate each, at a cost of 2^m * system_dim.
     """
-    layout = QubitLayout(k=inst.k, m=m, garbage=1 if garbage_mode else 0, cap=qubit_cap)
+    layout = QubitLayout(k=inst.k, m=m, garbage=1 if garbage_mode else 0)
     psi = loss_encoded_state(inst, f, garbage_mode=garbage_mode, rng=rng)
     t = 2**layout.m
     state = np.empty((t, psi.size), dtype=complex)
@@ -214,10 +198,9 @@ def simulate_ae_distribution(
     m: int,
     garbage_mode: bool = False,
     rng: np.random.Generator | int | None = None,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> np.ndarray:
     """Exact probabilities of each phase-register outcome y."""
-    state = simulate_ae_state(inst, f, m, garbage_mode=garbage_mode, rng=rng, qubit_cap=qubit_cap)
+    state = simulate_ae_state(inst, f, m, garbage_mode=garbage_mode, rng=rng)
     return np.sum(np.abs(state) ** 2, axis=1)
 
 

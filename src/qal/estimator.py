@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import (
-    DEFAULT_QUBIT_CAP,
+    QUBIT_CAP,
     CapacityError,
     QueryLedger,
     closed_form_ae_distribution,
@@ -48,8 +48,6 @@ class EstimateResult:
     """
 
     mu_hat: float
-    epsilon_target: float
-    delta_target: float
     m: int
     repetitions: int
     ledger: QueryLedger
@@ -62,7 +60,7 @@ def worst_case_error(m: int) -> float:
     return math.pi / t + math.pi**2 / t**2
 
 
-def phase_bits_for_accuracy(epsilon: float, max_bits: int = DEFAULT_QUBIT_CAP - 2) -> int:
+def phase_bits_for_accuracy(epsilon: float, max_bits: int = QUBIT_CAP - 2) -> int:
     """Smallest m whose worst-case error radius is at most epsilon.
 
     epsilon is on the rescaled (bound-one) loss scale.
@@ -102,7 +100,6 @@ def outcome_distribution(
     f: Hypothesis,
     m: int,
     engine: str = "analytic",
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> np.ndarray:
     """Phase-register outcome law via the selected engine.
 
@@ -111,7 +108,7 @@ def outcome_distribution(
     floating-point precision, so results are interchangeable.
     """
     if engine == "statevector":
-        return simulate_ae_distribution(inst, f, m, qubit_cap=qubit_cap)
+        return simulate_ae_distribution(inst, f, m)
     if engine == "analytic":
         a = exact_risk(inst, f) / inst.loss.bound
         return closed_form_ae_distribution(min(max(a, 0.0), 1.0), m)
@@ -125,7 +122,6 @@ def estimate_batch(
     delta: float,
     rngs: Sequence[np.random.Generator | int | None],
     engine: str = "analytic",
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> list[EstimateResult]:
     """Estimate the expected loss of each class member, all at (epsilon, delta).
 
@@ -140,7 +136,7 @@ def estimate_batch(
     bound = inst.loss.bound
     if not 0.0 < epsilon < bound:
         raise ValueError(f"epsilon must lie in (0, {bound}) on the original loss scale, got {epsilon}")
-    m = phase_bits_for_accuracy(epsilon / bound, max_bits=qubit_cap - (inst.k + 1))
+    m = phase_bits_for_accuracy(epsilon / bound, max_bits=QUBIT_CAP - (inst.k + 1))
     reps = repetitions_for_confidence(delta)
 
     _, first, law_of = np.unique(inst.losses[rows], axis=0, return_index=True, return_inverse=True)
@@ -148,15 +144,13 @@ def estimate_batch(
     raw = np.array([np.random.default_rng(rng).random(reps) for rng in rngs])
     table = phase_estimates(m)
     for j, i in enumerate(first):
-        law = outcome_distribution(inst, inst.hypotheses[rows[i]], m, engine=engine, qubit_cap=qubit_cap)
+        law = outcome_distribution(inst, inst.hypotheses[rows[i]], m, engine=engine)
         same = law_of == j
         raw[same] = table[draw_outcome(np.cumsum(law), raw[same])]  # uniform deviates -> estimates
     ledger = run_ledger(m, runs=reps)
     return [
         EstimateResult(
             mu_hat=bound * median(estimates),
-            epsilon_target=epsilon,
-            delta_target=delta,
             m=m,
             repetitions=reps,
             ledger=ledger,
@@ -173,7 +167,6 @@ def estimate_mean(
     delta: float,
     rng: np.random.Generator | int | None = None,
     engine: str = "analytic",
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> EstimateResult:
     """Estimate the expected loss of f to accuracy epsilon, confidence 1 - delta.
 
@@ -181,5 +174,5 @@ def estimate_mean(
     of uniform deviates from rng, so the estimate is reproducible per seed;
     this is the one-member case of estimate_batch.
     """
-    (result,) = estimate_batch(inst, [f], epsilon, delta, [rng], engine=engine, qubit_cap=qubit_cap)
+    (result,) = estimate_batch(inst, [f], epsilon, delta, [rng], engine=engine)
     return result

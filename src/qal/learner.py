@@ -14,7 +14,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .engine import DEFAULT_QUBIT_CAP
 from .estimator import EstimateResult, estimate_batch
 from .estimator import estimate_mean  # noqa: F401  (benchmark/run.py traces learner.estimate_mean by name)
 from .problem import ProblemInstance
@@ -55,7 +54,6 @@ def learn(
     delta: float,
     rng: np.random.Generator | int | None = None,
     engine: str = "analytic",
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> LearnResult:
     """Estimate every hypothesis risk, return the estimate argmin.
 
@@ -79,7 +77,7 @@ def learn(
         )
     eps_h, delta_h = allocate_budget(len(inst.hypotheses), epsilon, delta)
     children = np.random.default_rng(rng).spawn(len(inst.hypotheses))
-    results = estimate_batch(inst, inst.hypotheses, eps_h, delta_h, children, engine=engine, qubit_cap=qubit_cap)
+    results = estimate_batch(inst, inst.hypotheses, eps_h, delta_h, children, engine=engine)
     estimates = {f.id: r for f, r in zip(inst.hypotheses, results)}
     chosen = min(range(len(inst.hypotheses)), key=lambda i: estimates[inst.hypotheses[i].id].mu_hat)
     total = sum(r.ledger.quantum_samples for r in estimates.values())

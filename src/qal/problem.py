@@ -307,6 +307,16 @@ def expect_list(value, kind: str, path: str) -> list:
     return [expect(v, kind, f"{path}[{i}]") for i, v in enumerate(expect(value, "array", path))]
 
 
+def read_json(path: str | Path) -> dict:
+    """The JSON object in the file at path; anything else is a ValidationError."""
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as e:  # bad JSON, bad UTF-8, or an integer too long to parse
+            raise ValidationError(f"{path}: not valid JSON ({e})") from None
+    return expect(obj, "object", str(path))
+
+
 def _loss_from_json(obj: dict) -> LossSpec:
     table = None
     if obj.get("table") is not None:
@@ -329,12 +339,7 @@ def load_instance(path: str | Path) -> ProblemInstance:
 
     JSON of the wrong shape raises ValidationError naming the field.
     """
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as e:  # bad JSON, bad UTF-8, or an integer too long to parse
-            raise ValidationError(f"{path}: not valid JSON ({e})") from None
-    obj = expect(obj, "object", str(path))
+    obj = read_json(path)
     support = []
     for i, point in enumerate(field(obj, "support", "array")):
         point = expect(point, "object", f"support[{i}]")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qal.bench as bench
 import qal.engine as engine
 from qal.bench import (
     BenchConfig,
@@ -274,11 +275,6 @@ class TestVerify:
         results = {r.name: r for r in verify(quick=True)}
         assert not results["ae-interval-mass"].passed
 
-    def test_tiny_qubit_cap_surfaces_capacity_error(self):
-        results = {r.name: r for r in verify(quick=True, qubit_cap=4)}
-        assert not results["ae-interval-mass"].passed
-        assert "capacity error" in results["ae-interval-mass"].observed
-
 
 class TestCli:
     def test_estimate_outputs_json(self, repo_root, capsys):
@@ -346,6 +342,17 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["rows"] == 6
         assert -2.3 <= payload["classical_loglog_slope"] <= -1.7
+
+    def test_out_path_that_is_a_directory_fails_before_any_cell(self, repo_root, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(bench, "learn", never)
+        monkeypatch.setattr(bench, "erm_learn", never)
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(demo2_config(repo_root)))
+        assert main(["bench", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+        assert "directory" in capsys.readouterr().err
 
     def test_verify_quick_exits_zero(self, capsys):
         assert main(["verify", "--quick"]) == 0

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qal.engine import (
+    QUBIT_CAP,
     CapacityError,
     QubitLayout,
     QueryLedger,
@@ -106,6 +107,19 @@ class TestLossRotation:
         assert state[0] == pytest.approx(math.sqrt(0.75), abs=1e-15)
         assert state[1] == pytest.approx(0.5, abs=1e-15)
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["zero_one", "squared"])
+    def test_garbage_mode_splits_each_amplitude_by_the_loss(self, seed, kind):
+        inst = random_instance(seed, x_size=3, y_size=2, h_size=2, loss_kind=kind)
+        f = inst.hypotheses[1]
+        dim = 2**inst.k
+        L = np.zeros(dim)
+        L[: len(inst.support)] = inst.losses[1] / inst.loss.bound
+        data = prepare_data_state(inst, garbage_mode=True, rng=seed).reshape(2, dim)
+        state = loss_encoded_state(inst, f, garbage_mode=True, rng=seed).reshape(2, dim, 2)
+        assert np.array_equal(state[..., 0], data * np.sqrt(1.0 - L))
+        assert np.array_equal(state[..., 1], data * np.sqrt(L))
+
     def test_out_of_range_loss_is_a_contract_violation(self):
         inst = constant_loss_instance(0.5)
         bad = dataclasses.replace(
@@ -198,9 +212,10 @@ class TestPhaseEstimation:
         assert state.shape == reference.shape
         assert np.abs(state - reference).max() <= 1e-12
 
-    def test_qubit_cap_enforced(self, demo2):
+    def test_register_over_the_cap_rejected(self, demo2):
+        # One qubit over the cap: raised before any state is allocated.
         with pytest.raises(CapacityError, match="cap"):
-            simulate_ae_distribution(demo2, demo2.hypothesis("identity"), m=4, qubit_cap=4)
+            simulate_ae_distribution(demo2, demo2.hypothesis("identity"), m=QUBIT_CAP - demo2.k)
 
 
 class TestClosedFormLaw:
