@@ -16,9 +16,10 @@ import numpy as np
 
 from .classical import erm_learn, hoeffding_sample_size
 from .engine import CapacityError
-from .estimator import ENGINE_MODES
+from .estimator import ENGINE_MODES, repetitions_for_confidence
 from .learner import allocate_budget, learn
 from .problem import (
+    MAX_LOSS_ENTRIES,
     ProblemInstance,
     ValidationError,
     exact_statistics,
@@ -84,6 +85,8 @@ def _check_random_spec(spec) -> None:
     for key in RANDOM_SIZES:
         if field(spec, key, "integer", "random") < 1:
             raise ValidationError(f"random.{key}: must be >= 1, got {spec[key]}")
+    if (entries := spec["h_size"] * spec["x_size"] * spec["y_size"]) > MAX_LOSS_ENTRIES:
+        raise ValidationError(f"random: {entries} loss-matrix entries exceed the cap of {MAX_LOSS_ENTRIES}")
     if spec.get("loss_kind", "zero_one") not in RANDOM_LOSS_KINDS:
         raise ValidationError(f"random.loss_kind: must be one of {RANDOM_LOSS_KINDS}, got {spec['loss_kind']!r}")
 
@@ -142,11 +145,17 @@ def _check_cells(config: BenchConfig, inst: ProblemInstance) -> None:
     """Reject the grid if a learner would refuse one of its cells.
 
     Applies the learners' own rules: the classical Hoeffding count must
-    exist (epsilon below the loss bound, count within int64), and the
-    quantum per-hypothesis accuracy epsilon/2 must lie below the bound.
+    exist (epsilon below the loss bound, count within int64), the quantum
+    per-hypothesis confidence delta/|H| must have a repetition count, and
+    the quantum per-hypothesis accuracy epsilon/2 must lie below the bound.
     Capacity is not checked: such a cell writes rows with a reason.
     """
     h_size, bound = len(inst.hypotheses), inst.loss.bound
+    for j, delta in enumerate(config.deltas if "quantum" in config.methods else ()):
+        try:
+            repetitions_for_confidence(delta / h_size)  # allocate_budget's share
+        except ValueError as e:
+            raise ValidationError(f"deltas[{j}]: quantum cell rejected: {e}") from None
     for method, (i, epsilon), delta in product(config.methods, enumerate(config.epsilons), config.deltas):
         try:
             if method == "classical":

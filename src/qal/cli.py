@@ -107,7 +107,7 @@ def _cmd_bench(args) -> int:
     summary = {"rows": len(rows), "out": args.out}
     for method in config.methods:
         points = mean_samples_by_epsilon(rows, method)
-        if len(points) >= 3 and len({p[0] for p in points}) >= 2:
+        if len(points) >= 3:
             summary[f"{method}_loglog_slope"] = fit_loglog_slope(points)
     print(json.dumps(summary, indent=2))
     return 0

@@ -80,8 +80,8 @@ def phase_bits_for_accuracy(epsilon: float, max_bits: int = QUBIT_CAP - 2) -> in
 
 def repetitions_for_confidence(delta: float) -> int:
     """Odd repetition count whose median fails with probability at most delta."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if not 0.0 < delta < 1.0 or math.isinf(1.0 / delta):  # 1/delta is inf below about 5.6e-309
+        raise ValueError(f"delta must lie in (0, 1) with a finite 1/delta, got {delta}")
     return 2 * math.ceil(REPETITION_FACTOR * math.log(1.0 / delta)) + 1
 
 

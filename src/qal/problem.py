@@ -24,6 +24,9 @@ PROB_SUM_TOL = 1e-12
 
 LOSS_KINDS = ("zero_one", "squared", "table")
 
+# Loss-matrix entries (hypotheses x support points) an instance may hold.
+MAX_LOSS_ENTRIES = 2**22
+
 
 class ValidationError(ValueError):
     """An instance or loss specification violates its contract.
@@ -238,6 +241,8 @@ def make_instance(
 
     if not hypotheses:
         raise ValidationError("hypotheses: must be nonempty")
+    if (entries := len(hypotheses) * len(points)) > MAX_LOSS_ENTRIES:
+        raise ValidationError(f"hypotheses: {entries} loss-matrix entries exceed the cap of {MAX_LOSS_ENTRIES}")
     ids = [hid for hid, _ in hypotheses]
     if len(set(ids)) != len(ids):
         raise ValidationError("hypotheses[*].id: ids must be distinct")

@@ -1,6 +1,7 @@
 """Bench-harness tests: CSV runs, slope fitting, self-checks, CLI."""
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from qal.bench import (
 )
 from qal.checks import verify
 from qal.cli import main
-from qal.problem import ValidationError
+from qal.problem import MAX_LOSS_ENTRIES, ValidationError
 
 from conftest import json_values, mutate_json
 
@@ -175,6 +176,8 @@ class TestConfigValidation:
             ({"deltas": [0.1, 1.0]}, r"deltas\[1\]"),
             ({"engine": "tensor"}, "engine"),
             ({"trials": "2"}, "trials"),
+            # 2e12 loss entries: a MemoryError traceback allocating 7 TiB.
+            ({"instance": None, "random": {"seed": 1, "x_size": 10**6, "y_size": 10**6, "h_size": 2}}, r"^random: "),
         ],
     )
     def test_bad_config_rejected_before_any_cell(self, repo_root, tmp_path, capsys, overrides, field):
@@ -196,6 +199,10 @@ class TestConfigValidation:
                 base_seed=0,
                 random_spec={"seed": 1, "x_size": 2, "y_size": 2, "h_size": 0},
             )
+
+    def test_random_spec_at_loss_matrix_cap_accepted(self):
+        spec = {"seed": 1, "x_size": 64, "y_size": 64, "h_size": MAX_LOSS_ENTRIES // (64 * 64)}
+        BenchConfig(epsilons=(0.1,), deltas=(0.1,), trials=1, base_seed=0, random_spec=spec)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), value=json_values)
@@ -246,16 +253,22 @@ class TestCellChecks:
         config = demo2_config(repo_root, instance=str(repo_root / "instances" / "separation.json"), epsilons=[0.1, 1e-9])
         self.assert_rejected(tmp_path, capsys, config)
 
+    def test_delta_without_repetition_count_rejected_before_any_cell(self, repo_root, tmp_path, capsys):
+        # delta/|H| = 2.5e-321 has 1/delta = inf: the grid wrote its CSV
+        # header, then died with an OverflowError traceback and exit 1.
+        config = demo2_config(repo_root, deltas=[0.1, 1e-320], methods=["quantum"])
+        self.assert_rejected(tmp_path, capsys, config, field="deltas[1]")
+
     @staticmethod
-    def assert_rejected(tmp_path, capsys, config):
+    def assert_rejected(tmp_path, capsys, config, field="epsilons[1]"):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         out = tmp_path / "out.csv"
-        with pytest.raises(ValidationError, match=r"epsilons\[1\]"):
+        with pytest.raises(ValidationError, match=re.escape(field)):
             run_bench(load_bench_config(path), out)
         assert not out.exists()
         assert main(["bench", "--config", str(path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: epsilons[1]")
+        assert capsys.readouterr().err.startswith(f"error: {field}")
         assert not out.exists()
 
 
@@ -342,6 +355,31 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["rows"] == 6
         assert -2.3 <= payload["classical_loglog_slope"] <= -1.7
+
+    def test_bench_separation_config_matches_golden_csv(self, repo_root, tmp_path, capsys, monkeypatch):
+        # The documented separation experiment: same bytes as the golden
+        # file, and slopes inside acceptance check A5's bounds.
+        monkeypatch.chdir(repo_root)
+        out = tmp_path / "separation.csv"
+        assert main(["bench", "--config", "configs/separation.json", "--out", str(out)]) == 0
+        assert out.read_bytes() == (repo_root / "tests" / "golden" / "separation.csv").read_bytes()
+        payload = json.loads(capsys.readouterr().out)
+        assert -1.25 <= payload["quantum_loglog_slope"] <= -0.85
+        assert -2.3 <= payload["classical_loglog_slope"] <= -1.7
+
+    def test_subnormal_delta_is_usage_error(self, repo_root, capsys):
+        for command in (["estimate", "--hypothesis", "identity"], ["learn"]):
+            code = main(
+                [
+                    *command,
+                    "--instance", str(repo_root / "instances" / "demo2.json"),
+                    "--epsilon", "0.05",
+                    "--delta", "1e-320",
+                    "--seed", "1",
+                ]
+            )
+            assert code == 2
+            assert "finite 1/delta" in capsys.readouterr().err
 
     def test_out_path_that_is_a_directory_fails_before_any_cell(self, repo_root, tmp_path, capsys, monkeypatch):
         def never(*args, **kwargs):

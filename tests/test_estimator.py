@@ -50,7 +50,8 @@ class TestSchedules:
         with pytest.raises(ValueError):
             phase_bits_for_accuracy(1.0)
 
-    @pytest.mark.parametrize("delta,expected", [(0.05, 17), (0.5, 5), (0.1, 13)])
+    # 6e-309 is subnormal, but its 1/delta is still a finite float.
+    @pytest.mark.parametrize("delta,expected", [(0.05, 17), (0.5, 5), (0.1, 13), (6e-309, 3693)])
     def test_repetitions_examples(self, delta, expected):
         oracle = 2 * math.ceil(2.6 * math.log(1.0 / delta)) + 1
         assert oracle == expected
@@ -65,6 +66,12 @@ class TestSchedules:
             repetitions_for_confidence(0.0)
         with pytest.raises(ValueError):
             repetitions_for_confidence(1.0)
+
+    def test_repetitions_reject_delta_whose_inverse_overflows(self):
+        # 1/delta is inf below about 5.6e-309; the count used to end in an
+        # OverflowError from math.ceil(inf), a traceback with exit 1.
+        with pytest.raises(ValueError, match="finite 1/delta"):
+            repetitions_for_confidence(1e-320)
 
 
 class TestMedian:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qal.problem import (
+    MAX_LOSS_ENTRIES,
     Hypothesis,
     LossSpec,
     SupportPoint,
@@ -303,6 +304,26 @@ class TestLoading:
                 hypotheses=[],
                 loss=LossSpec("zero_one", 1.0),
             )
+
+    def test_loss_matrix_beyond_cap_rejected(self, tmp_path, capsys):
+        # Such an instance used to build its matrix for minutes, or end in a
+        # MemoryError traceback with exit 1.
+        x_size = y_size = 64
+        h_size = MAX_LOSS_ENTRIES // (x_size * y_size) + 1
+        obj = {
+            "x_size": x_size,
+            "y_values": list(range(y_size)),
+            "k": 12,
+            "support": [{"x": x, "y": y, "p": 1 / (x_size * y_size)} for x in range(x_size) for y in range(y_size)],
+            "hypotheses": [{"id": f"h{j}", "table": [0] * x_size} for j in range(h_size)],
+            "loss": {"kind": "zero_one", "bound": 1},
+        }
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match=r"^hypotheses: .* loss-matrix entries exceed"):
+            load_instance(path)
+        assert main(["learn", "--instance", str(path), "--epsilon", "0.1", "--delta", "0.1", "--seed", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: hypotheses: ")
 
     def test_loss_bound_violation_reported(self):
         with pytest.raises(ValidationError, match="outside"):
