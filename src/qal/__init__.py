@@ -5,7 +5,6 @@ from .checks import CheckResult, verify
 from .classical import ClassicalLearnResult, draw_iid_samples, erm_learn, hoeffding_sample_size
 from .engine import (
     CapacityError,
-    QubitLayout,
     QueryLedger,
     ae_error_bound,
     closed_form_ae_distribution,

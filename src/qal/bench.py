@@ -24,8 +24,8 @@ from .problem import (
     ValidationError,
     exact_statistics,
     expect,
+    expect_field,
     expect_list,
-    field,
     load_instance,
     random_instance,
     read_json,
@@ -80,10 +80,10 @@ def _check_random_spec(spec) -> None:
     unknown = sorted(spec.keys() - {"seed", "loss_kind", *RANDOM_SIZES})
     if unknown:
         raise ValidationError(f"random.{unknown[0]}: unknown field")
-    if field(spec, "seed", "integer", "random") < 0:
+    if expect_field(spec, "seed", "integer", "random") < 0:
         raise ValidationError(f"random.seed: must be >= 0, got {spec['seed']}")
     for key in RANDOM_SIZES:
-        if field(spec, key, "integer", "random") < 1:
+        if expect_field(spec, key, "integer", "random") < 1:
             raise ValidationError(f"random.{key}: must be >= 1, got {spec[key]}")
     if (entries := spec["h_size"] * spec["x_size"] * spec["y_size"]) > MAX_LOSS_ENTRIES:
         raise ValidationError(f"random: {entries} loss-matrix entries exceed the cap of {MAX_LOSS_ENTRIES}")
@@ -124,10 +124,10 @@ def load_bench_config(path: str | Path) -> BenchConfig:
     obj = read_json(path)
     instance = obj.get("instance")
     return BenchConfig(
-        epsilons=tuple(expect_list(field(obj, "epsilons", "array"), "number", "epsilons")),
-        deltas=tuple(expect_list(field(obj, "deltas", "array"), "number", "deltas")),
-        trials=field(obj, "trials", "integer"),
-        base_seed=field(obj, "base_seed", "integer"),
+        epsilons=tuple(expect_list(expect_field(obj, "epsilons", "array"), "number", "epsilons")),
+        deltas=tuple(expect_list(expect_field(obj, "deltas", "array"), "number", "deltas")),
+        trials=expect_field(obj, "trials", "integer"),
+        base_seed=expect_field(obj, "base_seed", "integer"),
         methods=tuple(expect_list(obj.get("methods", list(METHODS)), "string", "methods")),
         engine=expect(obj.get("engine", "analytic"), "string", "engine"),
         instance_path=None if instance is None else expect(instance, "string", "instance"),
@@ -145,25 +145,26 @@ def _check_cells(config: BenchConfig, inst: ProblemInstance) -> None:
     """Reject the grid if a learner would refuse one of its cells.
 
     Applies the learners' own rules: the classical Hoeffding count must
-    exist (epsilon below the loss bound, count within int64), the quantum
-    per-hypothesis confidence delta/|H| must have a repetition count, and
-    the quantum per-hypothesis accuracy epsilon/2 must lie below the bound.
-    Capacity is not checked: such a cell writes rows with a reason.
+    exist (epsilon below the loss bound, 2|H|/delta finite, count within
+    int64), the quantum per-hypothesis confidence delta/|H| must have a
+    repetition count, and the quantum per-hypothesis accuracy epsilon/2
+    must lie below the bound. A rule's message starts with the parameter
+    at fault, which names the grid entry. Capacity is not checked: such a
+    cell writes rows with a reason.
     """
     h_size, bound = len(inst.hypotheses), inst.loss.bound
-    for j, delta in enumerate(config.deltas if "quantum" in config.methods else ()):
-        try:
-            repetitions_for_confidence(delta / h_size)  # allocate_budget's share
-        except ValueError as e:
-            raise ValidationError(f"deltas[{j}]: quantum cell rejected: {e}") from None
-    for method, (i, epsilon), delta in product(config.methods, enumerate(config.epsilons), config.deltas):
+    grid = product(config.methods, enumerate(config.epsilons), enumerate(config.deltas))
+    for method, (i, epsilon), (j, delta) in grid:
         try:
             if method == "classical":
                 hoeffding_sample_size(bound, h_size, epsilon, delta)
-            elif not (eps_h := allocate_budget(h_size, epsilon, delta)[0]) < bound:
+                continue
+            repetitions_for_confidence(delta / h_size)  # allocate_budget's share
+            if not (eps_h := allocate_budget(h_size, epsilon, delta)[0]) < bound:
                 raise ValueError(f"per-hypothesis accuracy epsilon/2 = {eps_h} must lie below the loss bound {bound}")
         except ValueError as e:
-            raise ValidationError(f"epsilons[{i}]: {method} cell rejected: {e}") from None
+            name = f"deltas[{j}]" if str(e).startswith("delta") else f"epsilons[{i}]"
+            raise ValidationError(f"{name}: {method} cell rejected: {e}") from None
 
 
 def _trial_rng(base_seed: int, cell_index: int, trial: int) -> np.random.Generator:

@@ -29,7 +29,8 @@ class ClassicalLearnResult:
 def hoeffding_sample_size(bound: float, h_size: int, epsilon: float, delta: float) -> int:
     """i.i.d. draws sufficient for ERM at accuracy epsilon, confidence 1 - delta.
 
-    A count above the int64 maximum, which numpy cannot draw, raises ValueError.
+    A delta so small that 2|H|/delta overflows a float, or a count above the
+    int64 maximum, which numpy cannot draw, raises ValueError.
     """
     if bound <= 0:
         raise ValueError(f"loss bound must be positive, got {bound}")
@@ -39,8 +40,10 @@ def hoeffding_sample_size(bound: float, h_size: int, epsilon: float, delta: floa
         raise ValueError(f"epsilon must lie in (0, {bound}), got {epsilon}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if math.isinf(ratio := 2.0 * h_size / delta):  # delta below about 2|H| * 5.6e-309
+        raise ValueError(f"delta={delta} is too small: 2|H|/delta overflows a float at |H|={h_size}")
     eps2 = epsilon * epsilon  # 0.0 once epsilon < ~1e-162: the count is then unbounded
-    raw = 2.0 * bound * bound * math.log(2.0 * h_size / delta) / eps2 if eps2 else math.inf
+    raw = 2.0 * bound * bound * math.log(ratio) / eps2 if eps2 else math.inf
     if raw > INT64_MAX:
         raise ValueError(f"epsilon={epsilon} needs {raw:.3g} draws, more than the int64 maximum {INT64_MAX}")
     return math.ceil(raw)

@@ -2,14 +2,16 @@
 
 The register layout, most significant to least significant, is
 
-    [m phase bits] [optional garbage qubit] [k data qubits] [loss ancilla]
+    [m phase bits] [k data qubits] [loss ancilla]
 
 Data preparation loads sqrt(p_z) onto the dense support codes; the loss
 rotation moves sqrt of the rescaled loss onto the ancilla-one branch, so
 the ancilla-one mass of the prepared state equals the rescaled expected
 loss. The phase-estimation iterate alternates a sign flip on ancilla-one
 basis states with a reflection about the prepared state, and the measured
-phase register y maps to the estimate a_hat = sin^2(pi y / 2^m).
+phase register y maps to the estimate a_hat = sin^2(pi y / 2^m). The
+circuit runs on any prepared state whose last qubit is the loss ancilla,
+so registers above the data (garbage, in the self-checks) ride along.
 
 `closed_form_ae_distribution` gives the same outcome law analytically:
 the prepared state splits evenly between two conjugate eigenvectors of
@@ -36,28 +38,6 @@ class CapacityError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class QubitLayout:
-    """Register sizes for one amplitude-estimation run."""
-
-    k: int
-    m: int
-    garbage: int = 0
-
-    def __post_init__(self):
-        if self.k < 1 or self.m < 1:
-            raise ValueError(f"layout needs k >= 1 and m >= 1, got k={self.k}, m={self.m}")
-        if self.total > QUBIT_CAP:
-            raise CapacityError(
-                f"layout needs {self.total} qubits (k={self.k}, garbage={self.garbage}, "
-                f"1 loss ancilla, m={self.m}) but the cap is {QUBIT_CAP}"
-            )
-
-    @property
-    def total(self) -> int:
-        return self.k + self.garbage + 1 + self.m
-
-
-@dataclass(frozen=True)
 class QueryLedger:
     """Oracle accounting: state-preparation and loss-rotation calls."""
 
@@ -80,37 +60,29 @@ def run_ledger(m: int, runs: int = 1) -> QueryLedger:
     return QueryLedger(a_calls=runs * t, a_inv_calls=runs * (t - 1))
 
 
+def _check_register(system_qubits: int, m: int) -> None:
+    """Reject an empty phase register or a register over the qubit cap."""
+    if m < 1:
+        raise ValueError(f"phase register needs m >= 1, got m={m}")
+    if system_qubits + m > QUBIT_CAP:
+        raise CapacityError(f"{system_qubits + m} qubits ({system_qubits} system, m={m}) exceed the cap of {QUBIT_CAP}")
+
+
 def _check_norm(state: np.ndarray) -> None:
     drift = abs(np.linalg.norm(state) - 1.0)
     if drift > NORM_TOL:
         raise RuntimeError(f"state norm drifted by {drift:.3e} (> {NORM_TOL})")
 
 
-def prepare_data_state(
-    inst: ProblemInstance,
-    garbage_mode: bool = False,
-    rng: np.random.Generator | int | None = None,
-) -> np.ndarray:
-    """Load sqrt(p_z) onto the support codes of the data register.
-
-    With garbage_mode, each code is tensored with its own random normalized
-    single-qubit state on an extra high register; downstream outcome
-    distributions must not depend on those states.
-    """
+def prepare_data_state(inst: ProblemInstance) -> np.ndarray:
+    """Load sqrt(p_z) onto the support codes of the data register."""
     n = len(inst.support)
     dim = 2**inst.k
     if dim < n:
         raise CapacityError(f"2^{inst.k} = {dim} data basis states cannot hold {n} support codes")
     amps = np.zeros(dim, dtype=complex)
     amps[:n] = np.sqrt(inst.probabilities)
-    if not garbage_mode:
-        return amps
-    rng = np.random.default_rng(rng)
-    g = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    out = np.concatenate([amps * g[:, 0], amps * g[:, 1]])
-    _check_norm(out)
-    return out
+    return amps
 
 
 def _rescaled_losses(inst: ProblemInstance, f: Hypothesis) -> np.ndarray:
@@ -125,22 +97,17 @@ def _rescaled_losses(inst: ProblemInstance, f: Hypothesis) -> np.ndarray:
     return vals
 
 
-def loss_encoded_state(
-    inst: ProblemInstance,
-    f: Hypothesis,
-    garbage_mode: bool = False,
-    rng: np.random.Generator | int | None = None,
-) -> np.ndarray:
+def loss_encoded_state(inst: ProblemInstance, f: Hypothesis) -> np.ndarray:
     """Prepare the data state, append a fresh loss ancilla, and rotate it.
 
     The rotation acts per basis state: amplitude on |z>|0> splits into
     sqrt(1 - L(z)) |z>|0> + sqrt(L(z)) |z>|1>, L the rescaled loss.
     """
-    base = prepare_data_state(inst, garbage_mode=garbage_mode, rng=rng).reshape(-1, 2**inst.k)
+    amps = prepare_data_state(inst)
     vals = _rescaled_losses(inst, f)
-    state = np.empty(base.shape + (2,), dtype=complex)
-    state[..., 0] = base * np.sqrt(1.0 - vals)
-    state[..., 1] = base * np.sqrt(vals)
+    state = np.empty((amps.size, 2), dtype=complex)
+    state[:, 0] = amps * np.sqrt(1.0 - vals)
+    state[:, 1] = amps * np.sqrt(vals)
     state = state.reshape(-1)
     _check_norm(state)
     return state
@@ -151,38 +118,31 @@ def marked_probability(state: np.ndarray) -> float:
     return float(np.sum(np.abs(state[1::2]) ** 2))
 
 
-def _apply_projector_reflection(block: np.ndarray) -> None:
+def _apply_projector_reflection(v: np.ndarray) -> None:
     """Sign flip on ancilla-one basis states, in place."""
-    block[..., 1::2] *= -1.0
+    v[1::2] *= -1.0
 
 
-def _apply_state_reflection(block: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Reflect each row about psi: v -> 2 <psi|v> psi - v."""
-    coef = block @ psi.conj()
-    return 2.0 * coef[:, None] * psi[None, :] - block
+def _apply_state_reflection(v: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Reflect v about psi: v -> 2 <psi|v> psi - v."""
+    return 2.0 * np.vdot(psi, v) * psi - v
 
 
-def simulate_ae_state(
-    inst: ProblemInstance,
-    f: Hypothesis,
-    m: int,
-    garbage_mode: bool = False,
-    rng: np.random.Generator | int | None = None,
-) -> np.ndarray:
-    """Run the full phase-estimation circuit; return the pre-measurement state.
+def circuit_state(psi: np.ndarray, m: int) -> np.ndarray:
+    """Run the phase-estimation circuit on psi; return the pre-measurement state.
 
-    The returned array has shape (2^m, system_dim): phase register value by
-    system basis state. After the Hadamards and the controlled powers
-    Q^(2^j), row y is exactly Q^y psi / sqrt(2^m), so the rows are built in
-    order, one iterate each, at a cost of 2^m * system_dim.
+    psi is a normalized prepared state whose last qubit is the loss
+    ancilla. The returned array has shape (2^m, psi.size): phase register
+    value by system basis state. After the Hadamards and the controlled
+    powers Q^(2^j), row y is exactly Q^y psi / sqrt(2^m), so the rows are
+    built in order, one iterate each, at a cost of 2^m * psi.size.
     """
-    layout = QubitLayout(k=inst.k, m=m, garbage=1 if garbage_mode else 0)
-    psi = loss_encoded_state(inst, f, garbage_mode=garbage_mode, rng=rng)
-    t = 2**layout.m
+    _check_register(psi.size.bit_length() - 1, m)
+    t = 2**m
     state = np.empty((t, psi.size), dtype=complex)
-    row = psi[None, :] / math.sqrt(t)  # Hadamards on the phase register
+    row = psi / math.sqrt(t)  # Hadamards on the phase register
     for y in range(t):
-        state[y] = row[0]
+        state[y] = row
         _apply_projector_reflection(row)
         row = _apply_state_reflection(row, psi)
     _check_norm(state)
@@ -192,16 +152,15 @@ def simulate_ae_state(
     return state
 
 
-def simulate_ae_distribution(
-    inst: ProblemInstance,
-    f: Hypothesis,
-    m: int,
-    garbage_mode: bool = False,
-    rng: np.random.Generator | int | None = None,
-) -> np.ndarray:
+def simulate_ae_state(inst: ProblemInstance, f: Hypothesis, m: int) -> np.ndarray:
+    """The circuit on f's loss-encoded state; the register is checked first."""
+    _check_register(inst.k + 1, m)
+    return circuit_state(loss_encoded_state(inst, f), m)
+
+
+def simulate_ae_distribution(inst: ProblemInstance, f: Hypothesis, m: int) -> np.ndarray:
     """Exact probabilities of each phase-register outcome y."""
-    state = simulate_ae_state(inst, f, m, garbage_mode=garbage_mode, rng=rng)
-    return np.sum(np.abs(state) ** 2, axis=1)
+    return np.sum(np.abs(simulate_ae_state(inst, f, m)) ** 2, axis=1)
 
 
 def draw_outcome(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -234,11 +193,7 @@ def _phase_kernel(delta: np.ndarray, t: int) -> np.ndarray:
     """Squared magnitude of the phase-estimation kernel at offset delta."""
     num = np.sin(np.pi * t * delta) ** 2
     den = (t * np.sin(np.pi * delta)) ** 2
-    out = np.empty_like(num)
-    exact = den == 0.0
-    out[exact] = 1.0
-    out[~exact] = num[~exact] / den[~exact]
-    return out
+    return np.divide(num, den, out=np.ones_like(num), where=den != 0.0)
 
 
 def closed_form_ae_distribution(a: float, m: int) -> np.ndarray:

@@ -218,6 +218,8 @@ def make_instance(
     if k < (len(support) - 1).bit_length():  # 2^k < len(support), without forming 2^k
         raise ValidationError(f"k: 2^{k} = {2**k} cannot hold {len(support)} coded support points")
 
+    if (entries := len(hypotheses) * len(support)) > MAX_LOSS_ENTRIES:
+        raise ValidationError(f"hypotheses: {entries} loss-matrix entries exceed the cap of {MAX_LOSS_ENTRIES}")
     seen: set[tuple[int, int]] = set()
     total = 0.0
     for i, (x, yi, p) in enumerate(support):
@@ -241,8 +243,6 @@ def make_instance(
 
     if not hypotheses:
         raise ValidationError("hypotheses: must be nonempty")
-    if (entries := len(hypotheses) * len(points)) > MAX_LOSS_ENTRIES:
-        raise ValidationError(f"hypotheses: {entries} loss-matrix entries exceed the cap of {MAX_LOSS_ENTRIES}")
     ids = [hid for hid, _ in hypotheses]
     if len(set(ids)) != len(ids):
         raise ValidationError("hypotheses[*].id: ids must be distinct")
@@ -299,7 +299,7 @@ def expect(value, kind: str, path: str):
         raise ValidationError(f"{path}: {value!r:.60} is too large for a float") from None
 
 
-def field(obj: dict, key: str, kind: str, path: str = ""):
+def expect_field(obj: dict, key: str, kind: str, path: str = ""):
     """obj[key] checked by expect; a missing key is a ValidationError too."""
     name = f"{path}.{key}" if path else key
     if key not in obj:
@@ -330,11 +330,11 @@ def _loss_from_json(obj: dict) -> LossSpec:
                 tuple(expect_list(row, "number", f"loss.table.{hid}[{x}]"))
                 for x, row in enumerate(expect(rows, "array", f"loss.table.{hid}"))
             )
-            for hid, rows in field(obj, "table", "object", "loss").items()
+            for hid, rows in expect_field(obj, "table", "object", "loss").items()
         }
     return LossSpec(
-        kind=field(obj, "kind", "string", "loss"),
-        bound=field(obj, "bound", "number", "loss"),
+        kind=expect_field(obj, "kind", "string", "loss"),
+        bound=expect_field(obj, "bound", "number", "loss"),
         table=table,
     )
 
@@ -346,27 +346,27 @@ def load_instance(path: str | Path) -> ProblemInstance:
     """
     obj = read_json(path)
     support = []
-    for i, point in enumerate(field(obj, "support", "array")):
+    for i, point in enumerate(expect_field(obj, "support", "array")):
         point = expect(point, "object", f"support[{i}]")
         support.append(
             (
-                field(point, "x", "integer", f"support[{i}]"),
-                field(point, "y", "integer", f"support[{i}]"),
-                field(point, "p", "number", f"support[{i}]"),
+                expect_field(point, "x", "integer", f"support[{i}]"),
+                expect_field(point, "y", "integer", f"support[{i}]"),
+                expect_field(point, "p", "number", f"support[{i}]"),
             )
         )
     hypotheses = []
-    for j, h in enumerate(field(obj, "hypotheses", "array")):
+    for j, h in enumerate(expect_field(obj, "hypotheses", "array")):
         h = expect(h, "object", f"hypotheses[{j}]")
-        table = expect_list(field(h, "table", "array", f"hypotheses[{j}]"), "number", f"hypotheses[{j}].table")
-        hypotheses.append((field(h, "id", "string", f"hypotheses[{j}]"), table))
+        table = expect_list(expect_field(h, "table", "array", f"hypotheses[{j}]"), "number", f"hypotheses[{j}].table")
+        hypotheses.append((expect_field(h, "id", "string", f"hypotheses[{j}]"), table))
     return make_instance(
-        x_size=field(obj, "x_size", "integer"),
-        y_values=expect_list(field(obj, "y_values", "array"), "number", "y_values"),
-        k=field(obj, "k", "integer"),
+        x_size=expect_field(obj, "x_size", "integer"),
+        y_values=expect_list(expect_field(obj, "y_values", "array"), "number", "y_values"),
+        k=expect_field(obj, "k", "integer"),
         support=support,
         hypotheses=hypotheses,
-        loss=_loss_from_json(field(obj, "loss", "object")),
+        loss=_loss_from_json(expect_field(obj, "loss", "object")),
     )
 
 
@@ -401,6 +401,8 @@ def random_instance(
     """
     if min(x_size, y_size, h_size) < 1:
         raise ValidationError("random_instance: x_size, y_size, h_size must be >= 1")
+    if (entries := h_size * x_size * y_size) > MAX_LOSS_ENTRIES:
+        raise ValidationError(f"random_instance: {entries} loss-matrix entries exceed the cap of {MAX_LOSS_ENTRIES}")
     rng = np.random.default_rng(seed)
     n = x_size * y_size
     probs = rng.uniform(0.05, 1.0, n)

@@ -337,6 +337,22 @@ class TestCli:
         assert code == 2
         assert "int64" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("delta", [1e-320, 1e-308])
+    def test_classical_delta_too_small_names_delta(self, repo_root, tmp_path, capsys, delta):
+        # 2|H|/delta overflows: both paths used to blame epsilon.
+        instance = str(repo_root / "instances" / "demo2.json")
+        config = {
+            "instance": instance, "epsilons": [0.1], "deltas": [delta], "trials": 1, "base_seed": 0,
+            "methods": ["classical"],
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert main(["bench", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: deltas[0]: classical cell rejected: delta={delta}")
+        learn = ["learn", "--instance", instance, "--epsilon", "0.1", "--delta", str(delta), "--seed", "1"]
+        assert main([*learn, "--method", "classical"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: delta={delta}")
+
     def test_bench_writes_csv(self, repo_root, tmp_path, capsys):
         config = {
             "instance": str(repo_root / "instances" / "demo2.json"),

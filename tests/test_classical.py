@@ -23,6 +23,12 @@ class TestHoeffdingSampleSize:
         with pytest.raises(ValueError):
             hoeffding_sample_size(1.0, 1, 0.1, 0.0)
 
+    @pytest.mark.parametrize("delta", [1e-320, 1e-308])
+    def test_rejects_delta_whose_union_bound_overflows(self, delta):
+        # 2|H|/delta is inf here; the count used to blame epsilon.
+        with pytest.raises(ValueError, match=r"^delta=.*overflows"):
+            hoeffding_sample_size(1.0, 4, 0.1, delta)
+
     def test_rejects_epsilon_at_or_above_bound(self):
         with pytest.raises(ValueError):
             hoeffding_sample_size(1.0, 2, 1.0, 0.1)

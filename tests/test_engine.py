@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qal import engine
+from qal.checks import with_garbage
 from qal.engine import (
     QUBIT_CAP,
     CapacityError,
-    QubitLayout,
     QueryLedger,
     _apply_state_reflection,
     ae_error_bound,
+    circuit_state,
     closed_form_ae_distribution,
     draw_outcome,
     estimate_from_phase,
@@ -34,15 +36,19 @@ def tv(p, q):
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
-def literal_circuit_state(inst, f, m, garbage_mode=False, rng=None):
-    """Reference: the phase-estimation circuit applied gate by gate.
+def law(state):
+    """Outcome law of the phase register of a circuit state."""
+    return np.sum(np.abs(state) ** 2, axis=1)
+
+
+def literal_circuit_state(psi, m):
+    """Reference: the phase-estimation circuit on psi, applied gate by gate.
 
     Hadamards on the phase register, then for each phase bit j the
     controlled-Q^(2^j) on the rows whose bit j is set, then the Fourier
     transform. Q (sign flip on the marked branch, then the reflection about
     psi) is written out here rather than taken from the engine.
     """
-    psi = loss_encoded_state(inst, f, garbage_mode=garbage_mode, rng=rng)
     t = 2**m
     state = np.empty((t, psi.size), dtype=complex)
     state[:] = psi / math.sqrt(t)
@@ -73,11 +79,6 @@ class TestPrepareDataState:
         assert amps[0] == 1.0
         assert np.all(amps[1:] == 0.0)
 
-    def test_garbage_mode_is_normalized_and_bigger(self, demo2):
-        amps = prepare_data_state(demo2, garbage_mode=True, rng=3)
-        assert amps.size == 2 ** (demo2.k + 1)
-        assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-12)
-
     def test_register_too_small_for_support(self, demo2):
         shrunk = dataclasses.replace(demo2, k=1)  # bypasses load-time validation
         with pytest.raises(CapacityError, match="support"):
@@ -107,19 +108,6 @@ class TestLossRotation:
         assert state[0] == pytest.approx(math.sqrt(0.75), abs=1e-15)
         assert state[1] == pytest.approx(0.5, abs=1e-15)
 
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("kind", ["zero_one", "squared"])
-    def test_garbage_mode_splits_each_amplitude_by_the_loss(self, seed, kind):
-        inst = random_instance(seed, x_size=3, y_size=2, h_size=2, loss_kind=kind)
-        f = inst.hypotheses[1]
-        dim = 2**inst.k
-        L = np.zeros(dim)
-        L[: len(inst.support)] = inst.losses[1] / inst.loss.bound
-        data = prepare_data_state(inst, garbage_mode=True, rng=seed).reshape(2, dim)
-        state = loss_encoded_state(inst, f, garbage_mode=True, rng=seed).reshape(2, dim, 2)
-        assert np.array_equal(state[..., 0], data * np.sqrt(1.0 - L))
-        assert np.array_equal(state[..., 1], data * np.sqrt(L))
-
     def test_out_of_range_loss_is_a_contract_violation(self):
         inst = constant_loss_instance(0.5)
         bad = dataclasses.replace(
@@ -127,6 +115,27 @@ class TestLossRotation:
         )
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             loss_encoded_state(bad, bad.hypotheses[0])
+
+
+class TestWithGarbage:
+    def test_is_normalized_and_twice_the_size(self, demo2):
+        psi = loss_encoded_state(demo2, demo2.hypothesis("identity"))
+        garbled = with_garbage(psi, 3)
+        assert garbled.size == 2 * psi.size
+        assert np.linalg.norm(garbled) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["zero_one", "squared"])
+    def test_summing_out_the_garbage_gives_back_psi(self, seed, kind):
+        inst = random_instance(seed, x_size=3, y_size=2, h_size=2, loss_kind=kind)
+        psi = loss_encoded_state(inst, inst.hypotheses[1])
+        garbled = with_garbage(psi, seed).reshape(2, psi.size)
+        assert np.abs(np.sum(np.abs(garbled) ** 2, axis=0) - np.abs(psi) ** 2).max() <= 1e-12
+        # Both ancilla values of a data code carry the same garbage qubit, so
+        # each half keeps psi's loss split code by code.
+        split = garbled.reshape(2, -1, 2)
+        psi = psi.reshape(-1, 2)
+        assert np.abs(split[..., 1] * psi[:, 0] - split[..., 0] * psi[:, 1]).max() <= 1e-12
 
 
 class TestMarkedProbability:
@@ -159,12 +168,12 @@ class TestStateReflection:
         rng = np.random.default_rng(5)
         psi = rng.normal(size=8) + 1j * rng.normal(size=8)
         psi /= np.linalg.norm(psi)
-        fixed = _apply_state_reflection(psi[None, :].copy(), psi)[0]
+        fixed = _apply_state_reflection(psi.copy(), psi)
         assert np.linalg.norm(fixed - psi) <= 1e-10
         v = rng.normal(size=8) + 1j * rng.normal(size=8)
         v -= (psi.conj() @ v) * psi
         v /= np.linalg.norm(v)
-        negated = _apply_state_reflection(v[None, :].copy(), psi)[0]
+        negated = _apply_state_reflection(v.copy(), psi)
         assert np.linalg.norm(negated + v) <= 1e-10
 
 
@@ -195,20 +204,22 @@ class TestPhaseEstimation:
         state = simulate_ae_state(demo2, demo2.hypothesis("identity"), m=6)
         assert abs(np.linalg.norm(state) - 1.0) <= 1e-10
 
-    def test_garbage_mode_leaves_distribution_unchanged(self, demo2):
+    def test_garbage_leaves_distribution_unchanged(self, demo2):
         f = demo2.hypothesis("identity")
         plain = simulate_ae_distribution(demo2, f, m=4)
-        garbled = simulate_ae_distribution(demo2, f, m=4, garbage_mode=True, rng=11)
+        garbled = law(circuit_state(with_garbage(loss_encoded_state(demo2, f), 11), 4))
         assert tv(plain, garbled) <= 1e-9
 
-    @pytest.mark.parametrize("garbage_mode", [False, True])
+    @pytest.mark.parametrize("garbage", [False, True])
     @pytest.mark.parametrize("m", range(1, 7))
-    def test_matches_literal_circuit(self, m, garbage_mode):
+    def test_matches_literal_circuit(self, m, garbage):
         kind = ["zero_one", "squared"][m % 2]
         inst = random_instance(m, x_size=3, y_size=3, h_size=2, loss_kind=kind)
-        f = inst.hypotheses[m % 2]
-        state = simulate_ae_state(inst, f, m, garbage_mode=garbage_mode, rng=5)
-        reference = literal_circuit_state(inst, f, m, garbage_mode=garbage_mode, rng=5)
+        psi = loss_encoded_state(inst, inst.hypotheses[m % 2])
+        if garbage:
+            psi = with_garbage(psi, 5)
+        state = circuit_state(psi, m)
+        reference = literal_circuit_state(psi, m)
         assert state.shape == reference.shape
         assert np.abs(state - reference).max() <= 1e-12
 
@@ -302,14 +313,26 @@ class TestLedgerAndSampler:
 
 
 class TestLayout:
-    def test_total_and_cap(self):
-        layout = QubitLayout(k=3, m=5)
-        assert layout.total == 9
-        with pytest.raises(CapacityError):
-            QubitLayout(k=20, m=10)
+    """The register rules, on both circuit entry points."""
 
-    def test_rejects_empty_registers(self):
-        with pytest.raises(ValueError):
-            QubitLayout(k=0, m=1)
-        with pytest.raises(ValueError):
-            QubitLayout(k=1, m=0)
+    def test_total_and_cap(self, demo2, monkeypatch):
+        f = demo2.hypothesis("identity")
+        psi = loss_encoded_state(demo2, f)  # k + 1 = 3 qubits
+        assert circuit_state(psi, 5).shape == (2**5, 2**3)
+        with pytest.raises(CapacityError, match=f"{QUBIT_CAP + 1} qubits"):
+            circuit_state(psi, QUBIT_CAP - 2)
+
+        # One qubit over the cap is rejected before any state is allocated.
+        def never(*args):
+            raise AssertionError("a state was allocated")
+
+        monkeypatch.setattr(engine, "loss_encoded_state", never)
+        with pytest.raises(CapacityError, match=f"{QUBIT_CAP + 1} qubits"):
+            simulate_ae_state(demo2, f, QUBIT_CAP - demo2.k)
+
+    def test_rejects_empty_registers(self, demo2):
+        f = demo2.hypothesis("identity")
+        with pytest.raises(ValueError, match="m >= 1"):
+            simulate_ae_state(demo2, f, 0)
+        with pytest.raises(ValueError, match="m >= 1"):
+            circuit_state(loss_encoded_state(demo2, f), 0)

@@ -373,6 +373,12 @@ class TestLoading:
         with pytest.raises(ValidationError):
             random_instance(1, x_size=0, y_size=2, h_size=1)
 
+    def test_random_instance_checks_the_cap_before_drawing(self):
+        # The 10^12-point probability vector used to be drawn first, ending
+        # in a MemoryError.
+        with pytest.raises(ValidationError, match=r"^random_instance: .* loss-matrix entries exceed"):
+            random_instance(1, 10**6, 10**6, 2)
+
     def test_probabilities_renormalized_to_unit_vector(self):
         inst = make_instance(
             x_size=1,
