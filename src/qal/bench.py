@@ -8,7 +8,7 @@ identical across runs of the same config.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from pathlib import Path
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from .classical import erm_learn, hoeffding_sample_size
 from .engine import CapacityError
-from .estimator import ENGINE_MODES, repetitions_for_confidence
+from .estimator import ENGINE_MODES, schedule
 from .learner import allocate_budget, learn
 from .problem import (
     MAX_LOSS_ENTRIES,
@@ -31,7 +31,6 @@ from .problem import (
     read_json,
 )
 
-CSV_HEADER = "instance_id,method,epsilon,delta,trial,samples_used,success,risk_gap,reason"
 METHODS = ("quantum", "classical")
 RANDOM_SIZES = ("x_size", "y_size", "h_size")
 RANDOM_LOSS_KINDS = ("zero_one", "squared")
@@ -104,19 +103,11 @@ class BenchRow:
     reason: str = ""
 
     def render(self) -> str:
-        return ",".join(
-            [
-                self.instance_id,
-                self.method,
-                f"{self.epsilon:.17g}",
-                f"{self.delta:.17g}",
-                str(self.trial),
-                str(self.samples_used),
-                str(self.success),
-                f"{self.risk_gap:.17g}",
-                self.reason,
-            ]
-        )
+        """The CSV line, in CSV_HEADER's column order; floats print round-trip exact."""
+        return ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in vars(self).values())
+
+
+CSV_HEADER = ",".join(f.name for f in fields(BenchRow))
 
 
 def load_bench_config(path: str | Path) -> BenchConfig:
@@ -141,30 +132,33 @@ def resolve_instance(config: BenchConfig) -> tuple[str, ProblemInstance]:
     return f"random-{config.random_spec['seed']}", random_instance(**config.random_spec)
 
 
-def _check_cells(config: BenchConfig, inst: ProblemInstance) -> None:
-    """Reject the grid if a learner would refuse one of its cells.
+def _cell_reasons(config: BenchConfig, inst: ProblemInstance) -> list[str]:
+    """Why each grid cell, in (method, epsilon, delta) order, writes no result.
 
-    Applies the learners' own rules: the classical Hoeffding count must
-    exist (epsilon below the loss bound, 2|H|/delta finite, count within
-    int64), the quantum per-hypothesis confidence delta/|H| must have a
-    repetition count, and the quantum per-hypothesis accuracy epsilon/2
-    must lie below the bound. A rule's message starts with the parameter
-    at fault, which names the grid entry. Capacity is not checked: such a
-    cell writes rows with a reason.
+    Applies the learners' own rules: the classical Hoeffding count, and
+    the quantum schedule at the per-hypothesis budget. A cell the learner
+    would refuse rejects the grid with a ValidationError; the rule's
+    message starts with the parameter at fault, which names the grid
+    entry. A quantum cell over the qubit cap gets the CapacityError's
+    message as its reason; every other cell gets "".
     """
     h_size, bound = len(inst.hypotheses), inst.loss.bound
+    reasons = []
     grid = product(config.methods, enumerate(config.epsilons), enumerate(config.deltas))
     for method, (i, epsilon), (j, delta) in grid:
+        reason = ""
         try:
             if method == "classical":
                 hoeffding_sample_size(bound, h_size, epsilon, delta)
-                continue
-            repetitions_for_confidence(delta / h_size)  # allocate_budget's share
-            if not (eps_h := allocate_budget(h_size, epsilon, delta)[0]) < bound:
-                raise ValueError(f"per-hypothesis accuracy epsilon/2 = {eps_h} must lie below the loss bound {bound}")
+            else:
+                schedule(inst, *allocate_budget(h_size, epsilon, delta))
+        except CapacityError as e:
+            reason = str(e)
         except ValueError as e:
             name = f"deltas[{j}]" if str(e).startswith("delta") else f"epsilons[{i}]"
             raise ValidationError(f"{name}: {method} cell rejected: {e}") from None
+        reasons.append(reason)
+    return reasons
 
 
 def _trial_rng(base_seed: int, cell_index: int, trial: int) -> np.random.Generator:
@@ -175,24 +169,27 @@ def run_bench(config: BenchConfig, out_path: str | Path) -> list[BenchRow]:
     """Run every grid cell, write the CSV, and return the rows.
 
     Every cell is checked against the instance, and the output file is
-    opened, before the first cell runs. Cells run in deterministic
-    (method, epsilon, delta) order and each row is written as its trial
-    ends, so the output depends on the config alone.
+    opened, before the first cell runs. A cell over the qubit cap writes
+    one row per trial with its reason and runs no learner. Cells run in
+    deterministic (method, epsilon, delta) order and each row is written
+    as its trial ends, so the output depends on the config alone.
     """
     instance_id, inst = resolve_instance(config)
-    _check_cells(config, inst)
+    reasons = _cell_reasons(config, inst)
     stats = exact_statistics(inst)
     best_risk = stats.risks[stats.best_id]
     rows: list[BenchRow] = []
-    cells = list(product(config.methods, config.epsilons, config.deltas))
+    cells = product(config.methods, config.epsilons, config.deltas)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        for cell_index, (method, epsilon, delta) in enumerate(cells):
+        for cell_index, ((method, epsilon, delta), reason) in enumerate(zip(cells, reasons)):
             for trial in range(config.trials):
-                rng = _trial_rng(config.base_seed, cell_index, trial)
-                try:
+                if reason:
+                    row = BenchRow(instance_id, method, epsilon, delta, trial, 0, 0, float("nan"), reason)
+                else:
+                    rng = _trial_rng(config.base_seed, cell_index, trial)
                     if method == "quantum":
                         result = learn(inst, epsilon, delta, rng=rng, engine=config.engine)
                         chosen, samples = result.chosen_id, result.total_quantum_samples
@@ -201,8 +198,6 @@ def run_bench(config: BenchConfig, out_path: str | Path) -> list[BenchRow]:
                         chosen, samples = result.chosen_id, result.samples_used
                     gap = stats.risks[chosen] - best_risk
                     row = BenchRow(instance_id, method, epsilon, delta, trial, samples, int(gap <= epsilon), gap)
-                except CapacityError as e:
-                    row = BenchRow(instance_id, method, epsilon, delta, trial, 0, 0, float("nan"), reason=str(e))
                 fh.write(row.render() + "\n")
                 rows.append(row)
     return rows

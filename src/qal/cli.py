@@ -16,7 +16,7 @@ from .classical import erm_learn
 from .engine import CapacityError
 from .estimator import ENGINE_MODES, estimate_mean
 from .learner import learn
-from .problem import ValidationError, exact_statistics, load_instance
+from .problem import ValidationError, exact_risk, exact_statistics, load_instance
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,7 +62,7 @@ def _cmd_estimate(args) -> int:
                 "delta": args.delta,
                 "engine": args.engine,
                 "mu_hat": result.mu_hat,
-                "exact_risk": exact_statistics(inst).risks[args.hypothesis],
+                "exact_risk": exact_risk(inst, args.hypothesis),
                 "phase_bits": result.m,
                 "repetitions": result.repetitions,
                 "quantum_samples": result.ledger.quantum_samples,

@@ -115,6 +115,21 @@ def outcome_distribution(
     raise ValueError(f"engine must be one of {ENGINE_MODES}, got {engine!r}")
 
 
+def schedule(inst: ProblemInstance, epsilon: float, delta: float) -> tuple[int, int]:
+    """Phase bits m and repetition count of one estimate at (epsilon, delta).
+
+    epsilon is on the original loss scale. delta is checked first, then
+    epsilon against the loss bound, then the depth against the qubit cap:
+    a ValueError's message starts with the parameter at fault, and a
+    CapacityError means the circuit for epsilon would exceed the cap.
+    """
+    reps = repetitions_for_confidence(delta)
+    bound = inst.loss.bound
+    if not 0.0 < epsilon < bound:
+        raise ValueError(f"epsilon must lie in (0, {bound}) on the original loss scale, got {epsilon}")
+    return phase_bits_for_accuracy(epsilon / bound, max_bits=QUBIT_CAP - (inst.k + 1)), reps
+
+
 def estimate_batch(
     inst: ProblemInstance,
     members: Sequence[Hypothesis | str],
@@ -133,11 +148,7 @@ def estimate_batch(
     if len(rngs) != len(members):
         raise ValueError(f"need one rng per member, got {len(rngs)} for {len(members)}")
     rows = [inst.row(f) for f in members]
-    bound = inst.loss.bound
-    if not 0.0 < epsilon < bound:
-        raise ValueError(f"epsilon must lie in (0, {bound}) on the original loss scale, got {epsilon}")
-    m = phase_bits_for_accuracy(epsilon / bound, max_bits=QUBIT_CAP - (inst.k + 1))
-    reps = repetitions_for_confidence(delta)
+    m, reps = schedule(inst, epsilon, delta)
 
     _, first, law_of = np.unique(inst.losses[rows], axis=0, return_index=True, return_inverse=True)
     law_of = law_of.reshape(-1)  # some numpy 2.0 releases give it an extra axis
@@ -150,7 +161,7 @@ def estimate_batch(
     ledger = run_ledger(m, runs=reps)
     return [
         EstimateResult(
-            mu_hat=bound * median(estimates),
+            mu_hat=inst.loss.bound * median(estimates),
             m=m,
             repetitions=reps,
             ledger=ledger,

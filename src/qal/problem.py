@@ -97,21 +97,25 @@ class ProblemInstance:
     hypotheses: tuple[Hypothesis, ...]
     loss: LossSpec
     # Derived from the fields above on construction (and by
-    # dataclasses.replace): losses[i, j] is the loss of hypotheses[i] at
-    # support code j on the original scale, and risks[i] sums p_j * losses[i, j]
-    # left to right over the support.
+    # dataclasses.replace): probabilities[j] is the mass of support code j,
+    # losses[i, j] is the loss of hypotheses[i] at support code j on the
+    # original scale, and risks[i] sums p_j * losses[i, j] left to right over
+    # the support.
+    probabilities: np.ndarray = field(init=False, repr=False, compare=False)
     losses: np.ndarray = field(init=False, repr=False, compare=False)
     risks: np.ndarray = field(init=False, repr=False, compare=False)
     _rows: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        probabilities = np.array([z.p for z in self.support])
         losses = np.array(
             [[loss_value(self.loss, f, z) for z in self.support] for f in self.hypotheses], dtype=float
         ).reshape(len(self.hypotheses), len(self.support))
         risks = np.zeros(len(self.hypotheses))
         for j, z in enumerate(self.support):
             risks += z.p * losses[:, j]
-        losses.flags.writeable = risks.flags.writeable = False
+        probabilities.flags.writeable = losses.flags.writeable = risks.flags.writeable = False
+        object.__setattr__(self, "probabilities", probabilities)
         object.__setattr__(self, "losses", losses)
         object.__setattr__(self, "risks", risks)
         object.__setattr__(self, "_rows", {f.id: i for i, f in enumerate(self.hypotheses)})
@@ -130,17 +134,11 @@ class ProblemInstance:
         """The class member f names, by id or object."""
         return self.hypotheses[self.row(f)]
 
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.array([z.p for z in self.support])
-
 
 @dataclass(frozen=True)
 class ExactStatistics:
-    """Ground-truth summaries of an instance, all exact finite sums."""
+    """Exact risks by hypothesis id, and the id of their minimizer."""
 
-    regression: dict[int, float]
-    noise_variance: float
     risks: dict[str, float]
     best_id: str
 
@@ -192,10 +190,9 @@ def squared_risk_decomposition(inst: ProblemInstance, f: Hypothesis | str) -> tu
 
 
 def exact_statistics(inst: ProblemInstance) -> ExactStatistics:
-    """Assemble every ground-truth summary in one pass."""
-    regression, noise = regression_and_variance(inst)
+    """The exact risks keyed by hypothesis id, with the best hypothesis."""
     risks = dict(zip((f.id for f in inst.hypotheses), inst.risks.tolist()))
-    return ExactStatistics(regression, noise, risks, best_hypothesis(inst))
+    return ExactStatistics(risks, best_hypothesis(inst))
 
 
 def make_instance(

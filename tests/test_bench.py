@@ -91,7 +91,12 @@ class TestRunBench:
             reps = 2 * math.ceil(2.6 * math.log(4 / row.delta)) + 1
             assert row.samples_used == 4 * reps * (2 ** (m + 1) - 1)
 
-    def test_capacity_errors_become_failed_rows(self, repo_root, tmp_path):
+    def test_capacity_errors_become_failed_rows(self, repo_root, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cell over the qubit cap ran the learner")
+
+        # The cell is decided once from the schedule; no trial runs the learner.
+        monkeypatch.setattr(bench, "learn", refuse)
         config = small_config(repo_root, epsilons=(1e-8,), methods=("quantum",), trials=2)
         rows = run_bench(config, tmp_path / "out.csv")
         assert len(rows) == 2
@@ -99,8 +104,10 @@ class TestRunBench:
             assert row.success == 0
             assert row.samples_used == 0
             assert "phase bits" in row.reason
-        text = (tmp_path / "out.csv").read_text()
-        assert "phase bits" in text
+        reason = "accuracy 5e-09 needs more than 21 phase bits (worst-case error at m=21 is 1.498e-06)"
+        assert (tmp_path / "out.csv").read_text().splitlines()[1:] == [
+            f"demo2,quantum,1e-08,0.10000000000000001,{trial},0,0,nan,{reason}" for trial in range(2)
+        ]
 
     def test_random_instance_config(self, tmp_path):
         config = BenchConfig(
@@ -258,6 +265,12 @@ class TestCellChecks:
         # header, then died with an OverflowError traceback and exit 1.
         config = demo2_config(repo_root, deltas=[0.1, 1e-320], methods=["quantum"])
         self.assert_rejected(tmp_path, capsys, config, field="deltas[1]")
+
+    def test_bad_delta_not_hidden_behind_capacity(self, repo_root, tmp_path, capsys):
+        # epsilon 1e-8 alone is over the qubit cap and writes reason rows;
+        # with delta/|H| = 2.5e-321 the grid must still be rejected at delta.
+        config = demo2_config(repo_root, epsilons=[1e-8], deltas=[1e-320], methods=["quantum"])
+        self.assert_rejected(tmp_path, capsys, config, field="deltas[0]")
 
     @staticmethod
     def assert_rejected(tmp_path, capsys, config, field="epsilons[1]"):

@@ -12,6 +12,7 @@ from qal.estimator import (
     median,
     phase_bits_for_accuracy,
     repetitions_for_confidence,
+    schedule,
     worst_case_error,
 )
 from qal.problem import Hypothesis, ValidationError, random_instance
@@ -72,6 +73,26 @@ class TestSchedules:
         # OverflowError from math.ceil(inf), a traceback with exit 1.
         with pytest.raises(ValueError, match="finite 1/delta"):
             repetitions_for_confidence(1e-320)
+
+    @pytest.mark.parametrize("epsilon,delta", [(0.2, 0.2), (0.1, 0.05), (0.01, 1e-6), (1e-3, 6e-309)])
+    def test_schedule_is_the_one_estimate_mean_runs(self, separation_instance, epsilon, delta):
+        est = estimate_mean(separation_instance, separation_instance.hypotheses[0], epsilon, delta, rng=0)
+        assert schedule(separation_instance, epsilon, delta) == (est.m, est.repetitions)
+
+    @pytest.mark.parametrize(
+        "epsilon,delta,error,start",
+        [
+            (1e-8, 1e-320, ValueError, "delta"),  # delta is checked before the depth
+            (1.5, 1e-320, ValueError, "delta"),
+            (1.5, 0.1, ValueError, "epsilon"),
+            (1e-8, 0.1, CapacityError, "accuracy"),
+        ],
+    )
+    def test_schedule_errors(self, demo2, epsilon, delta, error, start):
+        with pytest.raises(error) as info:
+            schedule(demo2, epsilon, delta)
+        assert type(info.value) is error
+        assert str(info.value).startswith(start)
 
 
 class TestMedian:

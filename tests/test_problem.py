@@ -390,6 +390,14 @@ class TestLoading:
         )
         assert math.fsum(z.p for z in inst.support) == pytest.approx(1.0, abs=1e-15)
 
+    def test_probabilities_are_a_read_only_field(self, demo2):
+        assert demo2.probabilities is demo2.probabilities  # derived once, not per read
+        assert demo2.probabilities.tolist() == [z.p for z in demo2.support]
+        with pytest.raises(ValueError, match="read-only"):
+            demo2.probabilities[0] = 0.5
+        moved = dataclasses.replace(demo2, support=demo2.support[::-1])
+        assert moved.probabilities.tolist() == [z.p for z in demo2.support[::-1]]
+
 
 def demo2_json(repo_root):
     return json.loads((repo_root / "instances" / "demo2.json").read_text())
@@ -455,4 +463,3 @@ class TestExactStatistics:
         assert stats.risks == pytest.approx(
             {"identity": 0.3, "flip": 0.7, "const0": 0.6, "const1": 0.4}, abs=1e-12
         )
-        assert stats.noise_variance == pytest.approx(0.2, abs=1e-12)
