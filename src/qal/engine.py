@@ -76,25 +76,9 @@ def _check_norm(state: np.ndarray) -> None:
 
 def prepare_data_state(inst: ProblemInstance) -> np.ndarray:
     """Load sqrt(p_z) onto the support codes of the data register."""
-    n = len(inst.support)
-    dim = 2**inst.k
-    if dim < n:
-        raise CapacityError(f"2^{inst.k} = {dim} data basis states cannot hold {n} support codes")
-    amps = np.zeros(dim, dtype=complex)
-    amps[:n] = np.sqrt(inst.probabilities)
+    amps = np.zeros(2**inst.k, dtype=complex)
+    amps[: len(inst.support)] = np.sqrt(inst.probabilities)
     return amps
-
-
-def _rescaled_losses(inst: ProblemInstance, f: Hypothesis) -> np.ndarray:
-    """Loss row of f divided by the bound, padded to the data register."""
-    vals = np.zeros(2**inst.k)
-    vals[: len(inst.support)] = inst.losses[inst.row(f)] / inst.loss.bound
-    if vals.min() < 0.0 or vals.max() > 1.0:
-        raise ValueError(
-            f"rescaled loss values must lie in [0, 1], got range "
-            f"[{vals.min()}, {vals.max()}] for hypothesis {f.id!r}"
-        )
-    return vals
 
 
 def loss_encoded_state(inst: ProblemInstance, f: Hypothesis) -> np.ndarray:
@@ -104,7 +88,8 @@ def loss_encoded_state(inst: ProblemInstance, f: Hypothesis) -> np.ndarray:
     sqrt(1 - L(z)) |z>|0> + sqrt(L(z)) |z>|1>, L the rescaled loss.
     """
     amps = prepare_data_state(inst)
-    vals = _rescaled_losses(inst, f)
+    vals = np.zeros(amps.size)
+    vals[: len(inst.support)] = inst.losses[inst.row(f)] / inst.loss.bound
     state = np.empty((amps.size, 2), dtype=complex)
     state[:, 0] = amps * np.sqrt(1.0 - vals)
     state[:, 1] = amps * np.sqrt(vals)

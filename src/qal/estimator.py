@@ -111,6 +111,7 @@ def outcome_distribution(
         return simulate_ae_distribution(inst, f, m)
     if engine == "analytic":
         a = exact_risk(inst, f) / inst.loss.bound
+        # A valid instance's risk lies in [0, bound], so a leaves [0, 1] only by round-off.
         return closed_form_ae_distribution(min(max(a, 0.0), 1.0), m)
     raise ValueError(f"engine must be one of {ENGINE_MODES}, got {engine!r}")
 

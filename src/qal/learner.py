@@ -31,11 +31,6 @@ class LearnResult:
     total_quantum_samples: int
     budget: tuple[float, float]
 
-    @property
-    def per_hypothesis_samples(self) -> int:
-        """Preparation-unitary budget spent on each single hypothesis."""
-        return self.total_quantum_samples // len(self.estimates)
-
 
 def allocate_budget(h_size: int, epsilon: float, delta: float) -> tuple[float, float]:
     """Per-hypothesis (accuracy, confidence) shares: epsilon/2 and delta/|H|."""

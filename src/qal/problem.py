@@ -10,6 +10,9 @@ Support points carry a dense code 0..len(support)-1; the data register of
 the quantum engine indexes basis states by that code. Each instance holds
 its loss matrix (hypotheses by support codes) and the exact risks, computed
 once on construction; every risk, loss rotation and ERM reads them.
+
+Every ProblemInstance is valid, dataclasses.replace included: its
+constructor checks all but the raw support, which make_instance checks.
 """
 from __future__ import annotations
 
@@ -88,7 +91,11 @@ def loss_value(loss: LossSpec, f: Hypothesis, z: SupportPoint) -> float:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """Joint distribution, hypothesis class, and loss, all finite."""
+    """Joint distribution, hypothesis class, and loss, all finite.
+
+    Construction (dataclasses.replace included) raises ValidationError on
+    any broken rule but the raw support's, which make_instance checks.
+    """
 
     x_size: int
     y_values: tuple[float, ...]
@@ -107,10 +114,42 @@ class ProblemInstance:
     _rows: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ValidationError(f"k: must be >= 1, got {self.k}")
+        n = len(self.support)
+        if self.k < (n - 1).bit_length():  # 2^k < len(support), without forming 2^k
+            raise ValidationError(f"k: 2^{self.k} = {2**self.k} cannot hold {n} coded support points")
+        if (entries := len(self.hypotheses) * n) > MAX_LOSS_ENTRIES:
+            raise ValidationError(f"hypotheses: {entries} loss-matrix entries exceed the cap of {MAX_LOSS_ENTRIES}")
+        if not self.hypotheses:
+            raise ValidationError("hypotheses: must be nonempty")
+        rows = {f.id: i for i, f in enumerate(self.hypotheses)}
+        if len(rows) != len(self.hypotheses):
+            raise ValidationError("hypotheses[*].id: ids must be distinct")
+        for j, f in enumerate(self.hypotheses):
+            if len(f.table) != self.x_size:
+                raise ValidationError(f"hypotheses[{j}].table: length {len(f.table)} != x_size {self.x_size}")
+            if not all(math.isfinite(v) for v in f.table):
+                raise ValidationError(f"hypotheses[{j}].table: non-finite value")
+        loss = self.loss
+        if loss.kind not in LOSS_KINDS:
+            raise ValidationError(f"loss.kind: unknown kind {loss.kind!r}")
+        if loss.bound <= 0 or not math.isfinite(loss.bound):
+            raise ValidationError(f"loss.bound: must be a positive finite real, got {loss.bound}")
+        if loss.kind == "table" and loss.table is None:
+            raise ValidationError("loss.table: required for kind 'table'")
         probabilities = np.array([z.p for z in self.support])
         losses = np.array(
-            [[loss_value(self.loss, f, z) for z in self.support] for f in self.hypotheses], dtype=float
-        ).reshape(len(self.hypotheses), len(self.support))
+            [[loss_value(loss, f, z) for z in self.support] for f in self.hypotheses], dtype=float
+        ).reshape(len(self.hypotheses), n)
+        outside = ~((losses >= 0.0) & (losses <= loss.bound))  # NaN lands outside
+        if outside.any():
+            i, j = np.argwhere(outside)[0]
+            f, z = self.hypotheses[i], self.support[j]
+            raise ValidationError(
+                f"loss: value {float(losses[i, j])} for (hypothesis={f.id!r}, x={z.x}, "
+                f"y_index={z.y_index}) outside [0, {loss.bound}]"
+            )
         risks = np.zeros(len(self.hypotheses))
         for j, z in enumerate(self.support):
             risks += z.p * losses[:, j]
@@ -118,7 +157,7 @@ class ProblemInstance:
         object.__setattr__(self, "probabilities", probabilities)
         object.__setattr__(self, "losses", losses)
         object.__setattr__(self, "risks", risks)
-        object.__setattr__(self, "_rows", {f.id: i for i, f in enumerate(self.hypotheses)})
+        object.__setattr__(self, "_rows", rows)
 
     def row(self, f: Hypothesis | str) -> int:
         """Row of f in `losses` and `risks`; f is a class member, by id or object."""
@@ -150,8 +189,6 @@ def exact_risk(inst: ProblemInstance, f: Hypothesis | str) -> float:
 
 def best_hypothesis(inst: ProblemInstance) -> str:
     """Id of the exact-risk minimizer; ties broken by lowest list index."""
-    if not inst.hypotheses:
-        raise ValidationError("hypotheses: empty hypothesis class")
     return inst.hypotheses[int(np.argmin(inst.risks))].id
 
 
@@ -203,20 +240,17 @@ def make_instance(
     hypotheses: list[tuple[str, list[float]]],
     loss: LossSpec,
 ) -> ProblemInstance:
-    """Validate raw parts, renormalize probabilities exactly, and freeze."""
+    """Validate raw parts, renormalize probabilities exactly, and freeze.
+
+    Only the raw-input checks live here: x_size, y_values and each support
+    entry. The ProblemInstance constructor checks everything else.
+    """
     if x_size < 1:
         raise ValidationError(f"x_size: must be >= 1, got {x_size}")
     if not y_values:
         raise ValidationError("y_values: must be nonempty")
     if not all(math.isfinite(y) for y in y_values):
         raise ValidationError("y_values: non-finite value")
-    if k < 1:
-        raise ValidationError(f"k: must be >= 1, got {k}")
-    if k < (len(support) - 1).bit_length():  # 2^k < len(support), without forming 2^k
-        raise ValidationError(f"k: 2^{k} = {2**k} cannot hold {len(support)} coded support points")
-
-    if (entries := len(hypotheses) * len(support)) > MAX_LOSS_ENTRIES:
-        raise ValidationError(f"hypotheses: {entries} loss-matrix entries exceed the cap of {MAX_LOSS_ENTRIES}")
     seen: set[tuple[int, int]] = set()
     total = 0.0
     for i, (x, yi, p) in enumerate(support):
@@ -233,48 +267,15 @@ def make_instance(
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise ValidationError(f"support[*].p: probabilities sum to {total!r}, expected 1 within {PROB_SUM_TOL}")
 
-    # Renormalize exactly so sqrt(p) amplitudes form a unit vector.
-    points = tuple(
-        SupportPoint(x=x, y_index=yi, y=float(y_values[yi]), p=p / total) for x, yi, p in support
-    )
-
-    if not hypotheses:
-        raise ValidationError("hypotheses: must be nonempty")
-    ids = [hid for hid, _ in hypotheses]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("hypotheses[*].id: ids must be distinct")
-    hyps = []
-    for j, (hid, table) in enumerate(hypotheses):
-        if len(table) != x_size:
-            raise ValidationError(f"hypotheses[{j}].table: length {len(table)} != x_size {x_size}")
-        if not all(math.isfinite(v) for v in table):
-            raise ValidationError(f"hypotheses[{j}].table: non-finite value")
-        hyps.append(Hypothesis(id=str(hid), table=tuple(float(v) for v in table)))
-
-    if loss.kind not in LOSS_KINDS:
-        raise ValidationError(f"loss.kind: unknown kind {loss.kind!r}")
-    if loss.bound <= 0 or not math.isfinite(loss.bound):
-        raise ValidationError(f"loss.bound: must be a positive finite real, got {loss.bound}")
-    if loss.kind == "table" and loss.table is None:
-        raise ValidationError("loss.table: required for kind 'table'")
-
-    inst = ProblemInstance(
+    return ProblemInstance(
         x_size=x_size,
         y_values=tuple(float(y) for y in y_values),
         k=k,
-        support=points,
-        hypotheses=tuple(hyps),
+        # Renormalize exactly so sqrt(p) amplitudes form a unit vector.
+        support=tuple(SupportPoint(x, yi, float(y_values[yi]), p / total) for x, yi, p in support),
+        hypotheses=tuple(Hypothesis(str(hid), tuple(float(v) for v in table)) for hid, table in hypotheses),
         loss=loss,
     )
-    outside = ~((inst.losses >= 0.0) & (inst.losses <= inst.loss.bound))  # NaN lands outside
-    if outside.any():
-        i, j = np.argwhere(outside)[0]
-        f, z = inst.hypotheses[i], inst.support[j]
-        raise ValidationError(
-            f"loss: value {float(inst.losses[i, j])} for (hypothesis={f.id!r}, x={z.x}, "
-            f"y_index={z.y_index}) outside [0, {inst.loss.bound}]"
-        )
-    return inst
 
 
 _JSON_KINDS = {"object": dict, "array": list, "string": str, "integer": int, "number": (int, float)}

@@ -189,7 +189,7 @@ def test_a6_class_size_shape():
     for h in sizes:
         inst = random_instance(600 + h, x_size=4, y_size=2, h_size=h)
         result = learn(inst, epsilon, delta, rng=3)
-        budgets.append(result.per_hypothesis_samples)
+        budgets.append(result.total_quantum_samples // len(inst.hypotheses))
     u = np.log(sizes) + math.log(1 / delta)
     coef = np.polyfit(u, budgets, 1)
     fitted = np.polyval(coef, u)

@@ -1,5 +1,4 @@
 """State-engine tests: preparation, loss rotation, phase estimation, laws."""
-import dataclasses
 import math
 
 import numpy as np
@@ -79,11 +78,6 @@ class TestPrepareDataState:
         assert amps[0] == 1.0
         assert np.all(amps[1:] == 0.0)
 
-    def test_register_too_small_for_support(self, demo2):
-        shrunk = dataclasses.replace(demo2, k=1)  # bypasses load-time validation
-        with pytest.raises(CapacityError, match="support"):
-            prepare_data_state(shrunk)
-
 
 class TestLossRotation:
     def test_zero_loss_leaves_state_unchanged(self):
@@ -107,14 +101,6 @@ class TestLossRotation:
         state = loss_encoded_state(inst, inst.hypotheses[0])
         assert state[0] == pytest.approx(math.sqrt(0.75), abs=1e-15)
         assert state[1] == pytest.approx(0.5, abs=1e-15)
-
-    def test_out_of_range_loss_is_a_contract_violation(self):
-        inst = constant_loss_instance(0.5)
-        bad = dataclasses.replace(
-            inst, loss=LossSpec("table", 1.0, table={"f": ((1.5,), (0.0,))})
-        )
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            loss_encoded_state(bad, bad.hypotheses[0])
 
 
 class TestWithGarbage:

@@ -66,7 +66,7 @@ class TestLearn:
         )
         per_hyp = {r.ledger.quantum_samples for r in result.estimates.values()}
         assert len(per_hyp) == 1
-        assert result.per_hypothesis_samples == per_hyp.pop()
+        assert result.total_quantum_samples // len(demo2.hypotheses) == per_hyp.pop()
 
     def test_budget_recorded(self, demo2):
         result = learn(demo2, epsilon=0.1, delta=0.05, rng=0)
@@ -125,7 +125,7 @@ class TestLearn:
         for h in sizes:
             inst = random_instance(7, x_size=4, y_size=2, h_size=h)
             result = learn(inst, epsilon=0.05, delta=0.05, rng=1)
-            budgets.append(result.per_hypothesis_samples)
+            budgets.append(result.total_quantum_samples // len(inst.hypotheses))
         u = np.log(sizes) + np.log(1 / 0.05)
         coef = np.polyfit(u, budgets, 1)
         fitted = np.polyval(coef, u)

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qal.problem import (
     SupportPoint,
     ValidationError,
     best_hypothesis,
+    demo_instance,
     exact_risk,
     exact_statistics,
     load_instance,
@@ -26,7 +28,7 @@ from qal.problem import (
 )
 from qal.cli import main
 
-from conftest import json_values, mutate_json, table_loss_instance
+from conftest import constant_loss_instance, json_values, mutate_json, table_loss_instance
 
 
 def brute_force_risk(inst, f):
@@ -397,6 +399,43 @@ class TestLoading:
             demo2.probabilities[0] = 0.5
         moved = dataclasses.replace(demo2, support=demo2.support[::-1])
         assert moved.probabilities.tolist() == [z.p for z in demo2.support[::-1]]
+
+
+class TestInstanceInvariants:
+    """Every rule but the raw support's holds however an instance is made."""
+
+    @pytest.mark.parametrize(
+        "path, fields",
+        [
+            ("k", {"k": 1}),
+            ("hypotheses", {"hypotheses": ()}),
+            ("hypotheses[*].id", {"hypotheses": (Hypothesis("h", (0.0, 1.0)),) * 2}),
+            ("hypotheses[0].table", {"hypotheses": (Hypothesis("short", (0.0,)),)}),
+            ("hypotheses[0].table", {"hypotheses": (Hypothesis("nan", (0.0, math.nan)),)}),
+            ("loss.kind", {"loss": LossSpec("bogus", 1.0)}),
+            ("loss.bound", {"loss": LossSpec("zero_one", 0.0)}),
+            ("loss.bound", {"loss": LossSpec("zero_one", math.inf)}),
+            ("loss.bound", {"loss": LossSpec("zero_one", math.nan)}),
+            ("loss.table", {"loss": LossSpec("table", 1.0, table=None)}),
+            ("loss", {"loss": LossSpec("zero_one", 0.25)}),
+        ],
+        ids=[
+            "k=1", "empty-class", "duplicate-id", "short-table", "nan-table", "unknown-kind",
+            "bound-0", "bound-inf", "bound-nan", "table-missing", "loss-above-bound",
+        ],
+    )
+    def test_replace_is_checked(self, path, fields):
+        with pytest.raises(ValidationError, match=f"^{re.escape(path)}: "):
+            dataclasses.replace(demo_instance(), **fields)
+
+    def test_register_too_small_for_support(self, demo2):
+        with pytest.raises(ValidationError, match="^k: .*support"):
+            dataclasses.replace(demo2, k=1)
+
+    def test_out_of_range_loss_is_a_contract_violation(self):
+        inst = constant_loss_instance(0.5)
+        with pytest.raises(ValidationError, match=r"^loss: value 1.5 .* outside \[0, 1.0\]"):
+            dataclasses.replace(inst, loss=LossSpec("table", 1.0, table={"f": ((1.5,), (0.0,))}))
 
 
 def demo2_json(repo_root):
