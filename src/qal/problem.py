@@ -7,18 +7,20 @@ variance) is a finite sum here, so it can be computed exactly and used as
 an oracle.
 
 Support points carry a dense code 0..len(support)-1; the data register of
-the quantum engine indexes basis states by that code. Each instance holds
-its loss matrix (hypotheses by support codes) and the exact risks, computed
-once on construction; every risk, loss rotation and ERM reads them.
+the quantum engine indexes basis states by that code, and a point's y
+value is y_values[y_index]. Each instance builds its loss matrix (hypotheses
+by support codes) with one array expression per loss kind, and its exact
+risks, once on construction; every risk, loss rotation and ERM reads them.
 
 Every ProblemInstance is valid, dataclasses.replace included: its
-constructor checks all but the raw support, which make_instance checks.
+constructor checks all but the support's masses and distinct pairs, which
+make_instance checks.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,11 +42,10 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class SupportPoint:
-    """One atom of the joint distribution: x code, y code, y value, mass."""
+    """One atom of the joint distribution: x code, y code, mass."""
 
     x: int
     y_index: int
-    y: float
     p: float
 
 
@@ -61,7 +62,8 @@ class LossSpec:
     """Bounded nonnegative loss.
 
     kind "zero_one" is the exact-mismatch indicator, "squared" is
-    (f(x) - y)^2, "table" looks values up per (hypothesis id, x, y_index).
+    (f(x) - y)^2, "table" looks values up per (hypothesis id, x, y_index):
+    table[id] holds x_size rows of len(y_values) numbers.
     """
 
     kind: str
@@ -69,32 +71,13 @@ class LossSpec:
     table: dict[str, tuple[tuple[float, ...], ...]] | None = None
 
 
-def loss_value(loss: LossSpec, f: Hypothesis, z: SupportPoint) -> float:
-    """Evaluate the loss of hypothesis f at support point z (original scale)."""
-    if loss.kind == "zero_one":
-        return 1.0 if f.table[z.x] != z.y else 0.0
-    if loss.kind == "squared":
-        d = f.table[z.x] - z.y
-        return d * d
-    if loss.kind == "table":
-        per_hyp = loss.table.get(f.id) if loss.table else None
-        if per_hyp is None:
-            raise ValidationError(f"loss.table: no entry for hypothesis {f.id!r}")
-        try:
-            return per_hyp[z.x][z.y_index]
-        except IndexError:
-            raise ValidationError(
-                f"loss.table[{f.id!r}]: missing entry for (x={z.x}, y_index={z.y_index})"
-            ) from None
-    raise ValidationError(f"loss.kind: unknown kind {loss.kind!r}")
-
-
 @dataclass(frozen=True)
 class ProblemInstance:
     """Joint distribution, hypothesis class, and loss, all finite.
 
     Construction (dataclasses.replace included) raises ValidationError on
-    any broken rule but the raw support's, which make_instance checks.
+    any broken rule but those on support masses and pairs, which
+    make_instance checks.
     """
 
     x_size: int
@@ -138,10 +121,31 @@ class ProblemInstance:
             raise ValidationError(f"loss.bound: must be a positive finite real, got {loss.bound}")
         if loss.kind == "table" and loss.table is None:
             raise ValidationError("loss.table: required for kind 'table'")
-        probabilities = np.array([z.p for z in self.support])
-        losses = np.array(
-            [[loss_value(loss, f, z) for z in self.support] for f in self.hypotheses], dtype=float
-        ).reshape(len(self.hypotheses), n)
+        if not self.y_values:
+            raise ValidationError("y_values: must be nonempty")
+        if not all(math.isfinite(y) for y in self.y_values):
+            raise ValidationError("y_values: non-finite value")
+        x = np.array([z.x for z in self.support])
+        y_index = np.array([z.y_index for z in self.support])
+        for name, codes, size in (("x", x, self.x_size), ("y", y_index, len(self.y_values))):
+            bad = np.flatnonzero((codes < 0) | (codes >= size))
+            if bad.size:
+                raise ValidationError(f"support[{bad[0]}].{name}: {codes[bad[0]]} outside 0..{size - 1}")
+        x, y_index = x.astype(np.intp), y_index.astype(np.intp)  # an empty support gives float arrays
+        if loss.kind == "table":
+            tables = []
+            for f in self.hypotheses:
+                grid = loss.table.get(f.id)
+                if grid is None:
+                    raise ValidationError(f"loss.table: no entry for hypothesis {f.id!r}")
+                if len(grid) != self.x_size or any(len(row) != len(self.y_values) for row in grid):
+                    raise ValidationError(f"loss.table[{f.id!r}]: must be x_size rows of len(y_values) numbers")
+                tables.append(grid)
+            losses = np.array(tables, dtype=float)[:, x, y_index]
+        else:
+            pred = np.array([f.table for f in self.hypotheses], dtype=float)[:, x]
+            y = np.array(self.y_values, dtype=float)[y_index]
+            losses = (pred != y).astype(float) if loss.kind == "zero_one" else (pred - y) ** 2
         outside = ~((losses >= 0.0) & (losses <= loss.bound))  # NaN lands outside
         if outside.any():
             i, j = np.argwhere(outside)[0]
@@ -150,6 +154,7 @@ class ProblemInstance:
                 f"loss: value {float(losses[i, j])} for (hypothesis={f.id!r}, x={z.x}, "
                 f"y_index={z.y_index}) outside [0, {loss.bound}]"
             )
+        probabilities = np.array([z.p for z in self.support])
         risks = np.zeros(len(self.hypotheses))
         for j, z in enumerate(self.support):
             risks += z.p * losses[:, j]
@@ -202,9 +207,9 @@ def regression_and_variance(inst: ProblemInstance) -> tuple[dict[int, float], fl
     first_moment: dict[int, float] = {}
     for z in inst.support:
         marginal[z.x] = marginal.get(z.x, 0.0) + z.p
-        first_moment[z.x] = first_moment.get(z.x, 0.0) + z.p * z.y
+        first_moment[z.x] = first_moment.get(z.x, 0.0) + z.p * inst.y_values[z.y_index]
     regression = {x: first_moment[x] / m for x, m in marginal.items() if m > 0.0}
-    variance = sum(z.p * (z.y - regression[z.x]) ** 2 for z in inst.support if z.x in regression)
+    variance = sum(z.p * (inst.y_values[z.y_index] - regression[z.x]) ** 2 for z in inst.support if z.x in regression)
     return regression, float(variance)
 
 
@@ -242,22 +247,14 @@ def make_instance(
 ) -> ProblemInstance:
     """Validate raw parts, renormalize probabilities exactly, and freeze.
 
-    Only the raw-input checks live here: x_size, y_values and each support
-    entry. The ProblemInstance constructor checks everything else.
+    Only the raw-input checks live here: x_size, and each support entry's
+    mass and pair. The ProblemInstance constructor checks the rest.
     """
     if x_size < 1:
         raise ValidationError(f"x_size: must be >= 1, got {x_size}")
-    if not y_values:
-        raise ValidationError("y_values: must be nonempty")
-    if not all(math.isfinite(y) for y in y_values):
-        raise ValidationError("y_values: non-finite value")
     seen: set[tuple[int, int]] = set()
     total = 0.0
     for i, (x, yi, p) in enumerate(support):
-        if not 0 <= x < x_size:
-            raise ValidationError(f"support[{i}].x: {x} outside 0..{x_size - 1}")
-        if not 0 <= yi < len(y_values):
-            raise ValidationError(f"support[{i}].y: {yi} outside 0..{len(y_values) - 1}")
         if not (math.isfinite(p) and p >= 0):
             raise ValidationError(f"support[{i}].p: must be a finite nonnegative probability, got {p}")
         if (x, yi) in seen:
@@ -272,7 +269,7 @@ def make_instance(
         y_values=tuple(float(y) for y in y_values),
         k=k,
         # Renormalize exactly so sqrt(p) amplitudes form a unit vector.
-        support=tuple(SupportPoint(x, yi, float(y_values[yi]), p / total) for x, yi, p in support),
+        support=tuple(SupportPoint(x, yi, p / total) for x, yi, p in support),
         hypotheses=tuple(Hypothesis(str(hid), tuple(float(v) for v in table)) for hid, table in hypotheses),
         loss=loss,
     )
@@ -418,12 +415,11 @@ def random_instance(
     if loss_kind != "squared":
         raise ValidationError(f"random_instance: unsupported loss kind {loss_kind!r}")
     y_values = sorted(float(v) for v in rng.uniform(-1.0, 1.0, y_size))
-    hyps = [(f"h{j}", [float(v) for v in rng.uniform(-1.0, 1.0, x_size)]) for j in range(h_size)]
-    # |f(x) - y| <= 2 bounds every loss; the bound is then the largest entry
-    # of the instance's own loss matrix.
-    inst = make_instance(x_size, y_values, k, support, hyps, LossSpec(kind="squared", bound=4.0))
-    worst = float(inst.losses.max())
-    return replace(inst, loss=LossSpec(kind="squared", bound=worst if worst > 0 else 1.0))
+    tables = rng.uniform(-1.0, 1.0, (h_size, x_size))
+    # The bound is the largest loss on the full (x, y) grid, which is the support.
+    worst = float(((tables[:, :, None] - np.array(y_values)) ** 2).max())
+    hyps = [(f"h{j}", table.tolist()) for j, table in enumerate(tables)]
+    return make_instance(x_size, y_values, k, support, hyps, LossSpec("squared", worst if worst > 0 else 1.0))
 
 
 def demo_instance() -> ProblemInstance:

@@ -46,10 +46,11 @@ def rescaled_brute_force_risk(inst, f) -> float:
     loss = inst.loss
     total = 0.0
     for z in inst.support:
+        y = inst.y_values[z.y_index]
         if loss.kind == "zero_one":
-            raw = 1.0 if f.table[z.x] != z.y else 0.0
+            raw = 1.0 if f.table[z.x] != y else 0.0
         elif loss.kind == "squared":
-            raw = (f.table[z.x] - z.y) ** 2
+            raw = (f.table[z.x] - y) ** 2
         else:
             raw = loss.table[f.id][z.x][z.y_index]
         total += z.p * raw / loss.bound

@@ -1,5 +1,6 @@
 """Problem-model tests: losses, exact risks, decomposition, loading."""
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -13,6 +14,7 @@ from qal.problem import (
     MAX_LOSS_ENTRIES,
     Hypothesis,
     LossSpec,
+    ProblemInstance,
     SupportPoint,
     ValidationError,
     best_hypothesis,
@@ -20,10 +22,10 @@ from qal.problem import (
     exact_risk,
     exact_statistics,
     load_instance,
-    loss_value,
     make_instance,
     random_instance,
     regression_and_variance,
+    save_instance,
     squared_risk_decomposition,
 )
 from qal.cli import main
@@ -31,47 +33,58 @@ from qal.cli import main
 from conftest import constant_loss_instance, json_values, mutate_json, table_loss_instance
 
 
+def scalar_loss(inst, f, z):
+    """Independent oracle: the loss of f at support point z, one entry at a time."""
+    y = inst.y_values[z.y_index]
+    if inst.loss.kind == "zero_one":
+        return 1.0 if f.table[z.x] != y else 0.0
+    if inst.loss.kind == "squared":
+        d = f.table[z.x] - y
+        return d * d
+    return inst.loss.table[f.id][z.x][z.y_index]
+
+
 def brute_force_risk(inst, f):
     """Independent oracle: direct summation over the support."""
-    total = 0.0
-    for z in inst.support:
-        if inst.loss.kind == "zero_one":
-            v = 1.0 if f.table[z.x] != z.y else 0.0
-        elif inst.loss.kind == "squared":
-            v = (f.table[z.x] - z.y) ** 2
-        else:
-            v = inst.loss.table[f.id][z.x][z.y_index]
-        total += z.p * v
-    return total
+    return sum(z.p * scalar_loss(inst, f, z) for z in inst.support)
 
 
-class TestLossValue:
+def random_table_instance(seed, x_size, y_size, h_size):
+    """Random full-grid instance whose loss is a full random table."""
+    base = random_instance(seed, x_size, y_size, h_size)
+    rng = np.random.default_rng(seed)
+    table = {f.id: tuple(map(tuple, rng.uniform(0.0, 1.0, (x_size, y_size)).tolist())) for f in base.hypotheses}
+    return dataclasses.replace(base, loss=LossSpec("table", 1.0, table=table))
+
+
+def one_point_instance(table, y_values, y_index, loss):
+    """Instance with a single hypothesis f and all mass on (x=0, y_index)."""
+    return make_instance(len(table), y_values, 1, [(0, y_index, 1.0)], [("f", table)], loss)
+
+
+class TestLossMatrix:
     def test_zero_one_match(self):
-        f = Hypothesis("f", (0.0, 1.0))
-        z = SupportPoint(x=0, y_index=0, y=0.0, p=1.0)
-        assert loss_value(LossSpec("zero_one", 1.0), f, z) == 0.0
+        inst = one_point_instance([0.0, 1.0], [0.0], 0, LossSpec("zero_one", 1.0))
+        assert inst.losses.tolist() == [[0.0]]
 
     def test_squared_unit_gap(self):
-        f = Hypothesis("f", (0.0,))
-        z = SupportPoint(x=0, y_index=1, y=1.0, p=1.0)
-        assert loss_value(LossSpec("squared", 1.0), f, z) == 1.0
+        inst = one_point_instance([0.0], [0.0, 1.0], 1, LossSpec("squared", 1.0))
+        assert inst.losses.tolist() == [[1.0]]
 
     def test_squared_half_gap(self):
-        f = Hypothesis("f", (0.5,))
-        z = SupportPoint(x=0, y_index=1, y=1.0, p=1.0)
-        assert loss_value(LossSpec("squared", 1.0), f, z) == 0.25
+        inst = one_point_instance([0.5], [0.0, 1.0], 1, LossSpec("squared", 1.0))
+        assert inst.losses.tolist() == [[0.25]]
 
     def test_table_missing_hypothesis(self):
-        z = SupportPoint(x=0, y_index=0, y=0.0, p=1.0)
         spec = LossSpec("table", 1.0, table={"g": ((0.5,),)})
-        with pytest.raises(ValidationError, match="no entry"):
-            loss_value(spec, Hypothesis("f", (0.0,)), z)
+        with pytest.raises(ValidationError, match="^loss.table: no entry for hypothesis 'f'"):
+            one_point_instance([0.0], [0.0], 0, spec)
 
-    def test_table_missing_entry(self):
-        z = SupportPoint(x=1, y_index=0, y=0.0, p=1.0)
+    def test_partial_table_rejected(self):
+        # A table must define the loss on every (x, y) pair, even off the support.
         spec = LossSpec("table", 1.0, table={"f": ((0.5,),)})
-        with pytest.raises(ValidationError, match="missing entry"):
-            loss_value(spec, Hypothesis("f", (0.0, 0.0)), z)
+        with pytest.raises(ValidationError, match=r"^loss\.table\['f'\]: must be x_size rows"):
+            one_point_instance([0.0, 0.0], [0.0], 0, spec)
 
 
 class TestExactRisk:
@@ -107,13 +120,16 @@ class TestExactRisk:
             assert 0.0 <= r <= inst.loss.bound
             assert r == pytest.approx(brute_force_risk(inst, f), abs=1e-12)
 
-    @pytest.mark.parametrize("kind", ["zero_one", "squared"])
+    @pytest.mark.parametrize("kind", ["zero_one", "squared", "table"])
     def test_risks_are_left_to_right_sums_of_the_loss_matrix(self, kind):
-        inst = random_instance(5, x_size=4, y_size=4, h_size=6, loss_kind=kind)
+        if kind == "table":
+            inst = random_table_instance(5, x_size=4, y_size=4, h_size=6)
+        else:
+            inst = random_instance(5, x_size=4, y_size=4, h_size=6, loss_kind=kind)
         for i, f in enumerate(inst.hypotheses):
             total = 0.0
             for j, z in enumerate(inst.support):
-                v = loss_value(inst.loss, f, z)
+                v = scalar_loss(inst, f, z)
                 assert inst.losses[i, j] == v
                 total += z.p * v
             assert exact_risk(inst, f) == total
@@ -178,7 +194,7 @@ class TestRegressionAndVariance:
         # Oracle: conditional means 0.2/0.5 and 0.4/0.5; variance by direct sum.
         regression, variance = regression_and_variance(demo2)
         oracle_var = sum(
-            z.p * (z.y - {0: 0.4, 1: 0.8}[z.x]) ** 2 for z in demo2.support
+            z.p * (demo2.y_values[z.y_index] - {0: 0.4, 1: 0.8}[z.x]) ** 2 for z in demo2.support
         )
         assert regression[0] == pytest.approx(0.4, abs=1e-15)
         assert regression[1] == pytest.approx(0.8, abs=1e-15)
@@ -359,17 +375,53 @@ class TestLoading:
         assert a == b
 
     def test_save_load_round_trip(self, tmp_path):
-        from qal.problem import save_instance
-
         inst = random_instance(13, x_size=3, y_size=3, h_size=2, loss_kind="squared")
         save_instance(inst, tmp_path / "inst.json")
         assert load_instance(tmp_path / "inst.json") == inst
+
+    def test_new_y_values_round_trip(self, tmp_path):
+        # A point's y value once was a stored copy: this instance kept the
+        # demo's risks, then reloaded with risks [1, 1, 1, 1].
+        inst = dataclasses.replace(demo_instance(), y_values=(5.0, 6.0))
+        assert inst.risks.tolist() == [brute_force_risk(inst, f) for f in inst.hypotheses]
+        save_instance(inst, tmp_path / "inst.json")
+        reloaded = load_instance(tmp_path / "inst.json")
+        assert reloaded == inst
+        assert reloaded.risks.tolist() == inst.risks.tolist()
+
+    def test_random_squared_instance_is_built_once(self, monkeypatch):
+        calls = []
+        post_init = ProblemInstance.__post_init__
+        monkeypatch.setattr(ProblemInstance, "__post_init__", lambda self: calls.append(post_init(self)))
+        random_instance(1, x_size=3, y_size=2, h_size=4, loss_kind="squared")
+        assert len(calls) == 1
 
     def test_random_squared_bound_is_the_largest_loss(self):
         # The bound once came from a second formula, (t - y) ** 2, which can
         # exceed the loss d * d by one ulp and reject the instance.
         inst = random_instance(83, x_size=4, y_size=3, h_size=3, loss_kind="squared")
         assert inst.loss.bound == inst.losses.max()
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ((1, 4, 2, 512, "zero_one"), "3b8a0843161f9e6e92c1e394930ca3a07445685d316ec28ae12d0133e1460674"),
+            ((1, 8, 8, 2, "zero_one"), "9287f35cd98a64936a30abe9f177eae487156fabcd0a0d31738de3f49b66b23e"),
+            ((2, 4, 2, 512, "squared"), "c61fe1aabe2b80215881d26a7f15f6b3a3353f9624151c52222b027ccebe97c3"),
+            ((1, 8, 8, 2, "squared"), "3c3f1e46ce6ee0d3df424775f048d158726d9907c4b8deb41e8f243a7b343ed6"),
+            ((13, 3, 3, 2, "squared"), "bc5a68f749ed9ce6048bc6cfb7360ecffbcd13b4528b1fd746cc36082bf707f5"),
+            ((83, 4, 3, 3, "squared"), "de15e526efa2503ab0d7c9de359bc17f72202db0091c778c3f5307bdab7af35e"),
+        ],
+    )
+    def test_random_instance_values_are_pinned(self, args, digest):
+        # The benchmark's wide-class and statevector shapes among them: a
+        # change to the draws or the loss arithmetic moves these bytes.
+        inst = random_instance(*args)
+        h = hashlib.sha256()
+        tables = [f.table for f in inst.hypotheses]
+        for a in (inst.loss.bound, inst.y_values, tables, inst.probabilities, inst.losses, inst.risks):
+            h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        assert h.hexdigest() == digest
 
     def test_random_instance_rejects_bad_counts(self):
         with pytest.raises(ValidationError):
@@ -418,10 +470,14 @@ class TestInstanceInvariants:
             ("loss.bound", {"loss": LossSpec("zero_one", math.nan)}),
             ("loss.table", {"loss": LossSpec("table", 1.0, table=None)}),
             ("loss", {"loss": LossSpec("zero_one", 0.25)}),
+            ("y_values", {"y_values": (math.nan, 1.0)}),
+            ("support[1].y", {"y_values": (0.0,)}),
+            ("support[0].x", {"support": (SupportPoint(5, 0, 1.0),)}),
         ],
         ids=[
             "k=1", "empty-class", "duplicate-id", "short-table", "nan-table", "unknown-kind",
             "bound-0", "bound-inf", "bound-nan", "table-missing", "loss-above-bound",
+            "nan-y-value", "y-code-outside", "x-code-outside",
         ],
     )
     def test_replace_is_checked(self, path, fields):
