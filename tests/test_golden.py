@@ -1,14 +1,17 @@
-"""Golden output: the bundled separation config writes a fixed CSV, and
+"""Golden output: the bundled bench configs write fixed CSVs, and
 `qal estimate` and `qal learn` print fixed JSON on instances/demo2.json.
 
 The golden files pin these outputs byte for byte, so a refactor of the
 loss, risk or estimator layers that moves any sample count, success flag,
 estimate or risk gap shows up here. The statevector engine runs the same
-grid through the full circuit and must write the same bytes. Regenerate a
-file only for a deliberate change of results, from the repository root:
-`qal bench --config configs/separation.json --out tests/golden/separation.csv`
-for the CSV, and for each JSON file the command in CLI_GOLDENS with its
-stdout redirected to the file.
+grids through the full circuit and must write the same bytes. Every
+separation trial picks the best hypothesis, so that CSV cannot see a draw
+move; the near-tie grid has hypotheses within epsilon of the best, and its
+trials pick different ones, so a moved draw changes a risk gap there.
+Regenerate a file only for a deliberate change of results, from the
+repository root: `qal bench --config configs/<name>.json --out
+tests/golden/<name>.csv` for a CSV, and for each JSON file the command in
+CLI_GOLDENS with its stdout redirected to the file.
 """
 import dataclasses
 
@@ -27,13 +30,14 @@ CLI_GOLDENS = {
 
 
 @pytest.mark.parametrize("engine", ["analytic", "statevector"])
-def test_separation_config_matches_golden_csv(engine, repo_root, tmp_path, monkeypatch):
-    # The config names its instance relative to the repository root.
+@pytest.mark.parametrize("name", ["separation", "near-tie"])
+def test_bench_config_matches_golden_csv(name, engine, repo_root, tmp_path, monkeypatch):
+    # A config may name its instance relative to the repository root.
     monkeypatch.chdir(repo_root)
-    out = tmp_path / "separation.csv"
-    config = dataclasses.replace(load_bench_config("configs/separation.json"), engine=engine)
+    out = tmp_path / f"{name}.csv"
+    config = dataclasses.replace(load_bench_config(f"configs/{name}.json"), engine=engine)
     run_bench(config, out)
-    assert out.read_bytes() == (repo_root / "tests" / "golden" / "separation.csv").read_bytes()
+    assert out.read_bytes() == (repo_root / "tests" / "golden" / f"{name}.csv").read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(CLI_GOLDENS))
