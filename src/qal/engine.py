@@ -13,6 +13,14 @@ phase register y maps to the estimate a_hat = sin^2(pi y / 2^m). The
 circuit runs on any prepared state whose last qubit is the loss ancilla,
 so registers above the data (garbage, in the self-checks) ride along.
 
+`circuit_state` builds phase row y = Q^y psi one of two ways, picked by
+one size rule on the state dimension dim. Up to DOUBLING_DIM_MAX it forms
+Q as a dense matrix and doubles: phase bit j fills rows [2^j, 2^(j+1))
+with one matrix product by Q^(2^j), m steps at a cost of 2^m * dim^2 +
+(m - 1) * dim^3. Wider states apply one iterate per row, 2^m steps at a
+cost of 2^m * dim, where the dense products cost more than the Python
+steps they save.
+
 `closed_form_ae_distribution` gives the same outcome law analytically:
 the prepared state splits evenly between two conjugate eigenvectors of
 the iterate, so the phase register follows an equal mixture of two
@@ -31,6 +39,7 @@ from .problem import Hypothesis, ProblemInstance
 
 QUBIT_CAP = 24  # the full statevector of the register must fit in memory
 NORM_TOL = 1e-10
+DOUBLING_DIM_MAX = 64  # widest state circuit_state doubles; measured crossover
 
 
 class CapacityError(RuntimeError):
@@ -117,19 +126,44 @@ def circuit_state(psi: np.ndarray, m: int) -> np.ndarray:
     """Run the phase-estimation circuit on psi; return the pre-measurement state.
 
     psi is a normalized prepared state whose last qubit is the loss
-    ancilla. The returned array has shape (2^m, psi.size): phase register
-    value by system basis state. After the Hadamards and the controlled
-    powers Q^(2^j), row y is exactly Q^y psi / sqrt(2^m), so the rows are
-    built in order, one iterate each, at a cost of 2^m * psi.size.
+    ancilla; a psi whose size is not a power of two >= 2, or whose norm is
+    not one, raises ValueError before any state is allocated. The returned
+    array has shape (2^m, psi.size): phase register value by system basis
+    state. After the Hadamards and the controlled powers Q^(2^j), row y is
+    exactly Q^y psi / sqrt(2^m). One size rule on dim = psi.size picks how
+    the rows are built:
+
+    - dim <= DOUBLING_DIM_MAX: Q is built once as a dense matrix, and phase
+      bit j fills rows [2^j, 2^(j+1)) with one product of rows [0, 2^j)
+      and Q^(2^j), which is then squared. That is m steps at a cost of
+      2^m * dim^2 + (m - 1) * dim^3.
+    - wider states: the rows are built in order, one iterate each: 2^m
+      steps at a cost of 2^m * dim, cheaper there than the dense products.
     """
+    if psi.ndim != 1 or psi.size < 2 or psi.size & (psi.size - 1):
+        raise ValueError(f"psi must be a vector whose size is a power of two >= 2, got shape {psi.shape}")
+    norm = np.linalg.norm(psi)
+    if not abs(norm - 1.0) <= NORM_TOL:  # a NaN norm fails too
+        raise ValueError(f"psi must be normalized, got norm {norm:.6g}")
     _check_register(psi.size.bit_length() - 1, m)
     t = 2**m
     state = np.empty((t, psi.size), dtype=complex)
-    row = psi / math.sqrt(t)  # Hadamards on the phase register
-    for y in range(t):
-        state[y] = row
-        _apply_projector_reflection(row)
-        row = _apply_state_reflection(row, psi)
+    state[0] = psi / math.sqrt(t)  # Hadamards on the phase register
+    if psi.size <= DOUBLING_DIM_MAX:
+        q_t = np.eye(psi.size, dtype=complex)
+        for row in q_t:  # row i becomes Q e_i, so q_t holds Q transposed
+            _apply_projector_reflection(row)
+            row[:] = _apply_state_reflection(row, psi)
+        for j in range(m):
+            np.matmul(state[: 2**j], q_t, out=state[2**j : 2 ** (j + 1)])
+            if j + 1 < m:
+                q_t = q_t @ q_t
+    else:
+        row = state[0].copy()
+        for y in range(1, t):
+            _apply_projector_reflection(row)
+            row = _apply_state_reflection(row, psi)
+            state[y] = row
     _check_norm(state)
     # Inverse Fourier transform on the phase axis (exact unitary).
     state = np.fft.fft(state, axis=0, norm="ortho")

@@ -199,15 +199,21 @@ class TestPhaseEstimation:
     @pytest.mark.parametrize("garbage", [False, True])
     @pytest.mark.parametrize("m", range(1, 7))
     def test_matches_literal_circuit(self, m, garbage):
+        # States of dim 32 and 128 (64 and 256 with garbage) sit on both
+        # sides of the size rule, so both ways of building the rows run.
         kind = ["zero_one", "squared"][m % 2]
-        inst = random_instance(m, x_size=3, y_size=3, h_size=2, loss_kind=kind)
-        psi = loss_encoded_state(inst, inst.hypotheses[m % 2])
-        if garbage:
-            psi = with_garbage(psi, 5)
-        state = circuit_state(psi, m)
-        reference = literal_circuit_state(psi, m)
-        assert state.shape == reference.shape
-        assert np.abs(state - reference).max() <= 1e-12
+        dims = []
+        for size in (3, 8):
+            inst = random_instance(m, x_size=size, y_size=size, h_size=2, loss_kind=kind)
+            psi = loss_encoded_state(inst, inst.hypotheses[m % 2])
+            if garbage:
+                psi = with_garbage(psi, 5)
+            state = circuit_state(psi, m)
+            reference = literal_circuit_state(psi, m)
+            assert state.shape == reference.shape
+            assert np.abs(state - reference).max() <= 1e-12
+            dims.append(psi.size)
+        assert dims[0] <= engine.DOUBLING_DIM_MAX < dims[1]
 
     def test_register_over_the_cap_rejected(self, demo2):
         # One qubit over the cap: raised before any state is allocated.
@@ -315,6 +321,20 @@ class TestLayout:
         monkeypatch.setattr(engine, "loss_encoded_state", never)
         with pytest.raises(CapacityError, match=f"{QUBIT_CAP + 1} qubits"):
             simulate_ae_state(demo2, f, QUBIT_CAP - demo2.k)
+
+    @pytest.mark.parametrize("shape", [(1,), (6,), (2, 4)])
+    def test_rejects_psi_that_is_not_a_register_state(self, shape):
+        psi = np.zeros(shape, dtype=complex)
+        psi.flat[0] = 1.0
+        with pytest.raises(ValueError, match="power of two"):
+            circuit_state(psi, 3)
+
+    @pytest.mark.parametrize("scale", [2.0, np.nan])
+    def test_rejects_unnormalized_psi(self, demo2, scale):
+        # Checked up front, not reported as a norm drift after the circuit.
+        psi = scale * loss_encoded_state(demo2, demo2.hypothesis("identity"))
+        with pytest.raises(ValueError, match="normalized"):
+            circuit_state(psi, 3)
 
     def test_rejects_empty_registers(self, demo2):
         f = demo2.hypothesis("identity")
