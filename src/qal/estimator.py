@@ -7,8 +7,8 @@ formed on the rescaled (bound-one) loss and mapped back by the bound.
 
 Estimates at a common (epsilon, delta) run as one batch: the outcome law
 depends only on a hypothesis's loss row, so class members with equal rows
-share one law, and each member's repetitions are one vector of uniform
-deviates from that member's own stream.
+share one law, and the batch's repetitions are one matrix of uniform
+deviates with one row per member.
 """
 from __future__ import annotations
 
@@ -136,39 +136,31 @@ def estimate_batch(
     members: Sequence[Hypothesis | str],
     epsilon: float,
     delta: float,
-    rngs: Sequence[np.random.Generator | int | None],
+    rng: np.random.Generator | int | None,
     engine: str = "analytic",
 ) -> list[EstimateResult]:
     """Estimate the expected loss of each class member, all at (epsilon, delta).
 
-    members[i] draws only from rngs[i]: its repetitions are one vector of
-    uniform deviates from that stream, mapped through the inverse CDF of
-    its outcome law. One law is built per distinct loss row, so the result
-    for a member does not depend on which other members share the batch.
+    The repetitions are one matrix of uniform deviates,
+    np.random.default_rng(rng).random((len(members), R)): row i is members[i]'s,
+    mapped through the inverse CDF of its outcome law. One law is built per
+    distinct loss row (inst.distinct_row) among the members.
     """
-    if len(rngs) != len(members):
-        raise ValueError(f"need one rng per member, got {len(rngs)} for {len(members)}")
     rows = [inst.row(f) for f in members]
     m, reps = schedule(inst, epsilon, delta)
 
-    _, first, law_of = np.unique(inst.losses[rows], axis=0, return_index=True, return_inverse=True)
-    law_of = law_of.reshape(-1)  # some numpy 2.0 releases give it an extra axis
-    raw = np.array([np.random.default_rng(rng).random(reps) for rng in rngs])
+    _, first, law_of = np.unique(inst.distinct_row[rows], return_index=True, return_inverse=True)
+    raw = np.random.default_rng(rng).random((len(rows), reps))
     table = phase_estimates(m)
     for j, i in enumerate(first):
         law = outcome_distribution(inst, inst.hypotheses[rows[i]], m, engine=engine)
         same = law_of == j
         raw[same] = table[draw_outcome(np.cumsum(law), raw[same])]  # uniform deviates -> estimates
+    mu_hat = (inst.loss.bound * np.partition(raw, reps // 2, axis=1)[:, reps // 2]).tolist()
     ledger = run_ledger(m, runs=reps)
     return [
-        EstimateResult(
-            mu_hat=inst.loss.bound * median(estimates),
-            m=m,
-            repetitions=reps,
-            ledger=ledger,
-            raw_estimates=tuple(estimates),
-        )
-        for estimates in map(np.ndarray.tolist, raw)
+        EstimateResult(mu_hat=mu, m=m, repetitions=reps, ledger=ledger, raw_estimates=tuple(estimates))
+        for mu, estimates in zip(mu_hat, raw.tolist())
     ]
 
 
@@ -186,5 +178,5 @@ def estimate_mean(
     of uniform deviates from rng, so the estimate is reproducible per seed;
     this is the one-member case of estimate_batch.
     """
-    (result,) = estimate_batch(inst, [f], epsilon, delta, [rng], engine=engine)
+    (result,) = estimate_batch(inst, [f], epsilon, delta, rng, engine=engine)
     return result

@@ -53,10 +53,9 @@ def learn(
     """Estimate every hypothesis risk, return the estimate argmin.
 
     Ties break toward the lower hypothesis index. The class is estimated
-    as one batch: hypothesis i draws its repetitions as one uniform vector
-    from child stream i of rng (children spawned in class order), so its
-    estimate equals estimate_mean at the per-hypothesis budget on that
-    child.
+    as one estimate_batch at the per-hypothesis budget on rng: hypothesis i
+    takes its repetitions from row i of one (|H|, R) matrix of uniform
+    deviates drawn from rng.
     """
     if epsilon >= EPSILON_GUARANTEE_LIMIT:
         warnings.warn(
@@ -71,15 +70,12 @@ def learn(
             stacklevel=2,
         )
     eps_h, delta_h = allocate_budget(len(inst.hypotheses), epsilon, delta)
-    children = np.random.default_rng(rng).spawn(len(inst.hypotheses))
-    results = estimate_batch(inst, inst.hypotheses, eps_h, delta_h, children, engine=engine)
-    estimates = {f.id: r for f, r in zip(inst.hypotheses, results)}
-    chosen = min(range(len(inst.hypotheses)), key=lambda i: estimates[inst.hypotheses[i].id].mu_hat)
-    total = sum(r.ledger.quantum_samples for r in estimates.values())
+    results = estimate_batch(inst, inst.hypotheses, eps_h, delta_h, rng, engine=engine)
+    chosen = int(np.argmin([r.mu_hat for r in results]))  # the first minimum
     return LearnResult(
         chosen_id=inst.hypotheses[chosen].id,
-        estimates=estimates,
-        total_quantum_samples=total,
+        estimates={f.id: r for f, r in zip(inst.hypotheses, results)},
+        total_quantum_samples=len(results) * results[0].ledger.quantum_samples,
         budget=(eps_h, delta_h),
     )
 

@@ -89,11 +89,13 @@ class ProblemInstance:
     # Derived from the fields above on construction (and by
     # dataclasses.replace): probabilities[j] is the mass of support code j,
     # losses[i, j] is the loss of hypotheses[i] at support code j on the
-    # original scale, and risks[i] sums p_j * losses[i, j] left to right over
-    # the support.
+    # original scale, risks[i] sums p_j * losses[i, j] left to right over
+    # the support, and distinct_row[i] is the index of losses[i] among the
+    # distinct loss rows.
     probabilities: np.ndarray = field(init=False, repr=False, compare=False)
     losses: np.ndarray = field(init=False, repr=False, compare=False)
     risks: np.ndarray = field(init=False, repr=False, compare=False)
+    distinct_row: np.ndarray = field(init=False, repr=False, compare=False)
     _rows: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -158,10 +160,14 @@ class ProblemInstance:
         risks = np.zeros(len(self.hypotheses))
         for j, z in enumerate(self.support):
             risks += z.p * losses[:, j]
-        probabilities.flags.writeable = losses.flags.writeable = risks.flags.writeable = False
+        # reshape: some numpy 2.0 releases give the inverse an extra axis
+        distinct_row = np.unique(losses, axis=0, return_inverse=True)[1].reshape(-1)
+        for a in (probabilities, losses, risks, distinct_row):
+            a.flags.writeable = False
         object.__setattr__(self, "probabilities", probabilities)
         object.__setattr__(self, "losses", losses)
         object.__setattr__(self, "risks", risks)
+        object.__setattr__(self, "distinct_row", distinct_row)
         object.__setattr__(self, "_rows", rows)
 
     def row(self, f: Hypothesis | str) -> int:
@@ -170,7 +176,7 @@ class ProblemInstance:
         i = self._rows.get(hyp_id)
         if i is None:
             raise ValidationError(f"hypotheses: unknown hypothesis id {hyp_id!r}")
-        if not isinstance(f, str) and self.hypotheses[i] != f:
+        if not isinstance(f, str) and self.hypotheses[i] is not f and self.hypotheses[i] != f:
             raise ValidationError(f"hypotheses: hypothesis {f.id!r} is not part of the instance")
         return i
 

@@ -13,6 +13,7 @@ repository root: `qal bench --config configs/<name>.json --out
 tests/golden/<name>.csv` for a CSV, and for each JSON file the command in
 CLI_GOLDENS with its stdout redirected to the file.
 """
+import csv
 import dataclasses
 
 import pytest
@@ -46,3 +47,11 @@ def test_cli_json_matches_golden(name, repo_root, capsys, monkeypatch):
     monkeypatch.chdir(repo_root)
     assert main(CLI_GOLDENS[name]) == 0
     assert capsys.readouterr().out.encode() == (repo_root / "tests" / "golden" / name).read_bytes()
+
+
+def test_near_tie_golden_can_see_a_moved_draw(repo_root):
+    # Trials that choose hypotheses with different risks write different
+    # risk gaps; with one gap only, a moved draw could leave the file as is.
+    with open(repo_root / "tests" / "golden" / "near-tie.csv", newline="") as fh:
+        gaps = {row["risk_gap"] for row in csv.DictReader(fh) if row["method"] == "quantum"}
+    assert len(gaps) >= 2

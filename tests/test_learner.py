@@ -153,15 +153,33 @@ def inverse_cdf_oracle(law, u):
 class TestBatchStreams:
     @settings(max_examples=25, deadline=None)
     @given(shape=random_shapes, seed=st.integers(0, 2**32 - 1), engine=st.sampled_from(["analytic", "statevector"]))
-    def test_learn_equals_estimate_mean_on_child_streams(self, shape, seed, engine):
+    def test_learn_draws_row_i_of_one_deviate_matrix(self, shape, seed, engine):
         inst = random_instance(**shape)
         h = len(inst.hypotheses)
         # epsilon is on the original loss scale; squared instances can have a bound far below 1.
         epsilon = 0.1 * min(inst.loss.bound, 1.0)
         result = learn(inst, epsilon=epsilon, delta=0.1, rng=seed, engine=engine)
-        children = np.random.default_rng(seed).spawn(h)
-        for f, child in zip(inst.hypotheses, children):
-            assert result.estimates[f.id] == estimate_mean(inst, f, epsilon / 2, 0.1 / h, rng=child, engine=engine)
+        m, reps = estimator.schedule(inst, epsilon / 2, 0.1 / h)
+        u = np.random.default_rng(seed).random((h, reps))
+        for f, row in zip(inst.hypotheses, u):
+            r = result.estimates[f.id]
+            ys = inverse_cdf_oracle(outcome_distribution(inst, f, m, engine=engine), row)
+            assert r.raw_estimates == tuple(math.sin(math.pi * y / 2**m) ** 2 for y in ys)
+            assert r.mu_hat == inst.loss.bound * estimator.median(r.raw_estimates)
+
+    @settings(max_examples=25, deadline=None)
+    @given(shape=random_shapes, seed=st.integers(0, 2**32 - 1), engine=st.sampled_from(["analytic", "statevector"]))
+    def test_one_member_batch_is_estimate_mean(self, shape, seed, engine):
+        inst = random_instance(**shape)
+        f = inst.hypotheses[seed % len(inst.hypotheses)]
+        eps, delta = 0.05 * inst.loss.bound, 0.05
+        by_seed = estimate_mean(inst, f, eps, delta, rng=seed, engine=engine)
+        assert estimator.estimate_batch(inst, [f], eps, delta, seed, engine=engine) == [by_seed]
+        # A Generator gives the same estimate and is left in the same state.
+        g_batch, g_mean = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert estimator.estimate_batch(inst, [f], eps, delta, g_batch, engine=engine) == [by_seed]
+        assert estimate_mean(inst, f, eps, delta, rng=g_mean, engine=engine) == by_seed
+        assert g_batch.random() == g_mean.random()
 
     @settings(max_examples=25, deadline=None)
     @given(shape=random_shapes, seed=st.integers(0, 2**32 - 1), engine=st.sampled_from(["analytic", "statevector"]))

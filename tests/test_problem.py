@@ -143,9 +143,49 @@ class TestExactRisk:
         impostor = Hypothesis("identity", (1.0, 1.0))
         with pytest.raises(ValidationError, match="not part of the instance"):
             exact_risk(demo2, impostor)
+        with pytest.raises(ValidationError, match="not part of the instance"):
+            demo2.row(impostor)
         with pytest.raises(ValidationError, match="unknown hypothesis"):
             exact_risk(demo2, Hypothesis("nope", (0.0, 1.0)))
         assert exact_risk(demo2, "identity") == exact_risk(demo2, demo2.hypothesis("identity"))
+        # The member object itself and an equal copy of it are both the member.
+        member = demo2.hypotheses[0]
+        copy = Hypothesis(member.id, tuple(member.table))
+        assert copy is not member and demo2.row(copy) == demo2.row(member) == 0
+
+
+def with_twins(inst):
+    """inst with every hypothesis repeated under a new id, so each loss row occurs at least twice."""
+    twins = tuple(Hypothesis(f.id + "-twin", f.table) for f in inst.hypotheses)
+    loss = inst.loss
+    if loss.kind == "table":
+        twin_tables = {t.id: loss.table[f.id] for f, t in zip(inst.hypotheses, twins)}
+        loss = dataclasses.replace(loss, table={**loss.table, **twin_tables})
+    return dataclasses.replace(inst, hypotheses=inst.hypotheses + twins, loss=loss)
+
+
+class TestDistinctRowIndex:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", ["zero_one", "squared", "table"])
+    def test_equal_index_exactly_when_loss_rows_are_equal(self, seed, kind):
+        if kind == "table":
+            inst = with_twins(random_table_instance(seed, x_size=2, y_size=2, h_size=5))
+        else:
+            inst = with_twins(random_instance(seed, x_size=2, y_size=2, h_size=5, loss_kind=kind))
+        index, losses = inst.distinct_row.tolist(), inst.losses.tolist()
+        assert sorted(set(index)) == list(range(len(set(map(tuple, losses)))))
+        for i in range(len(index)):
+            for j in range(len(index)):
+                assert (index[i] == index[j]) == (losses[i] == losses[j])
+
+    def test_replace_rebuilds_the_index(self, demo2):
+        assert len(set(demo2.distinct_row.tolist())) == len(demo2.hypotheses)
+        flipped = dataclasses.replace(demo2, hypotheses=demo2.hypotheses[::-1])
+        assert flipped.distinct_row.tolist() == demo2.distinct_row[::-1].tolist()
+        twinned = with_twins(demo2)
+        assert twinned.distinct_row.tolist() == demo2.distinct_row.tolist() * 2
+        with pytest.raises(ValueError, match="read-only"):
+            twinned.distinct_row[0] = 1
 
 
 class TestBestHypothesis:
