@@ -160,8 +160,11 @@ class ProblemInstance:
         risks = np.zeros(len(self.hypotheses))
         for j, z in enumerate(self.support):
             risks += z.p * losses[:, j]
-        # reshape: some numpy 2.0 releases give the inverse an extra axis
-        distinct_row = np.unique(losses, axis=0, return_inverse=True)[1].reshape(-1)
+        # Each loss row is sorted as one byte string (adding 0.0 folds -0.0
+        # into 0.0, so equal rows have equal bytes): np.unique(losses, axis=0)
+        # compares rows value by value and takes seconds at the cap.
+        keys = np.ascontiguousarray(losses + 0.0).view(f"V{losses.itemsize * n}")[:, 0] if n else np.zeros(len(losses))
+        distinct_row = np.unique(keys, return_inverse=True)[1]
         for a in (probabilities, losses, risks, distinct_row):
             a.flags.writeable = False
         object.__setattr__(self, "probabilities", probabilities)

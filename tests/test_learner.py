@@ -166,6 +166,8 @@ class TestBatchStreams:
             ys = inverse_cdf_oracle(outcome_distribution(inst, f, m, engine=engine), row)
             assert r.raw_estimates == tuple(math.sin(math.pi * y / 2**m) ** 2 for y in ys)
             assert r.mu_hat == inst.loss.bound * estimator.median(r.raw_estimates)
+        mu = [result.estimates[f.id].mu_hat for f in inst.hypotheses]
+        assert result.chosen_id == inst.hypotheses[mu.index(min(mu))].id  # the first minimum
 
     @settings(max_examples=25, deadline=None)
     @given(shape=random_shapes, seed=st.integers(0, 2**32 - 1), engine=st.sampled_from(["analytic", "statevector"]))

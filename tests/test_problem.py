@@ -186,6 +186,13 @@ class TestDistinctRowIndex:
         assert twinned.distinct_row.tolist() == demo2.distinct_row.tolist() * 2
         with pytest.raises(ValueError, match="read-only"):
             twinned.distinct_row[0] = 1
+        # With no support points every loss row is empty, so all are equal.
+        assert dataclasses.replace(demo2, support=()).distinct_row.tolist() == [0] * len(demo2.hypotheses)
+
+    def test_signed_zeros_are_one_row(self):
+        values = {"a": [[0.0, 0.5], [0.0, 0.0]], "b": [[-0.0, 0.5], [0.0, -0.0]], "c": [[0.5, 0.0], [0.0, 0.0]]}
+        index = table_loss_instance((0.25,) * 4, values, bound=1.0).distinct_row.tolist()
+        assert index[0] == index[1] != index[2]
 
 
 class TestBestHypothesis:
