@@ -113,6 +113,9 @@ CSV_HEADER = ",".join(f.name for f in fields(BenchRow))
 def load_bench_config(path: str | Path) -> BenchConfig:
     """Load a grid config; wrong-shaped JSON raises ValidationError naming the field."""
     obj = read_json(path)
+    known = {"instance", "random", "epsilons", "deltas", "trials", "base_seed", "methods", "engine"}
+    if unknown := sorted(obj.keys() - known):
+        raise ValidationError(f"{unknown[0]}: unknown field")
     instance = obj.get("instance")
     return BenchConfig(
         epsilons=tuple(expect_list(expect_field(obj, "epsilons", "array"), "number", "epsilons")),

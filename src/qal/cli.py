@@ -131,6 +131,8 @@ def main(argv: list[str] | None = None) -> int:
         "verify": _cmd_verify,
     }
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValidationError(f"--seed: must be >= 0, got {args.seed}")
         return handlers[args.command](args)
     except (ValidationError, CapacityError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -106,16 +106,18 @@ class ProblemInstance:
             raise ValidationError(f"k: 2^{self.k} = {2**self.k} cannot hold {n} coded support points")
         if (entries := len(self.hypotheses) * n) > MAX_LOSS_ENTRIES:
             raise ValidationError(f"hypotheses: {entries} loss-matrix entries exceed the cap of {MAX_LOSS_ENTRIES}")
-        if not self.hypotheses:
-            raise ValidationError("hypotheses: must be nonempty")
+        for name in ("support", "hypotheses", "y_values"):
+            if not getattr(self, name):
+                raise ValidationError(f"{name}: must be nonempty")
         rows = {f.id: i for i, f in enumerate(self.hypotheses)}
         if len(rows) != len(self.hypotheses):
             raise ValidationError("hypotheses[*].id: ids must be distinct")
         for j, f in enumerate(self.hypotheses):
             if len(f.table) != self.x_size:
                 raise ValidationError(f"hypotheses[{j}].table: length {len(f.table)} != x_size {self.x_size}")
-            if not all(math.isfinite(v) for v in f.table):
-                raise ValidationError(f"hypotheses[{j}].table: non-finite value")
+        tables = np.array([f.table for f in self.hypotheses], dtype=float)
+        if (bad := np.flatnonzero(~np.isfinite(tables).all(axis=1))).size:
+            raise ValidationError(f"hypotheses[{bad[0]}].table: non-finite value")
         loss = self.loss
         if loss.kind not in LOSS_KINDS:
             raise ValidationError(f"loss.kind: unknown kind {loss.kind!r}")
@@ -123,31 +125,26 @@ class ProblemInstance:
             raise ValidationError(f"loss.bound: must be a positive finite real, got {loss.bound}")
         if loss.kind == "table" and loss.table is None:
             raise ValidationError("loss.table: required for kind 'table'")
-        if not self.y_values:
-            raise ValidationError("y_values: must be nonempty")
         if not all(math.isfinite(y) for y in self.y_values):
             raise ValidationError("y_values: non-finite value")
         x = np.array([z.x for z in self.support])
         y_index = np.array([z.y_index for z in self.support])
         for name, codes, size in (("x", x, self.x_size), ("y", y_index, len(self.y_values))):
-            bad = np.flatnonzero((codes < 0) | (codes >= size))
-            if bad.size:
+            if (bad := np.flatnonzero((codes < 0) | (codes >= size))).size:
                 raise ValidationError(f"support[{bad[0]}].{name}: {codes[bad[0]]} outside 0..{size - 1}")
-        x, y_index = x.astype(np.intp), y_index.astype(np.intp)  # an empty support gives float arrays
         if loss.kind == "table":
-            tables = []
+            grids = []
             for f in self.hypotheses:
                 grid = loss.table.get(f.id)
                 if grid is None:
                     raise ValidationError(f"loss.table: no entry for hypothesis {f.id!r}")
                 if len(grid) != self.x_size or any(len(row) != len(self.y_values) for row in grid):
                     raise ValidationError(f"loss.table[{f.id!r}]: must be x_size rows of len(y_values) numbers")
-                tables.append(grid)
-            losses = np.array(tables, dtype=float)[:, x, y_index]
+                grids.append(grid)
+            losses = np.array(grids, dtype=float)[:, x, y_index]
         else:
-            pred = np.array([f.table for f in self.hypotheses], dtype=float)[:, x]
             y = np.array(self.y_values, dtype=float)[y_index]
-            losses = (pred != y).astype(float) if loss.kind == "zero_one" else (pred - y) ** 2
+            losses = (tables[:, x] != y).astype(float) if loss.kind == "zero_one" else (tables[:, x] - y) ** 2
         outside = ~((losses >= 0.0) & (losses <= loss.bound))  # NaN lands outside
         if outside.any():
             i, j = np.argwhere(outside)[0]
@@ -157,13 +154,12 @@ class ProblemInstance:
                 f"y_index={z.y_index}) outside [0, {loss.bound}]"
             )
         probabilities = np.array([z.p for z in self.support])
-        risks = np.zeros(len(self.hypotheses))
-        for j, z in enumerate(self.support):
-            risks += z.p * losses[:, j]
+        weighted = losses * probabilities
+        risks = np.cumsum(weighted, axis=1, out=weighted)[:, -1] + 0.0  # an all -0.0 row sums to +0.0 from 0.0
         # Each loss row is sorted as one byte string (adding 0.0 folds -0.0
         # into 0.0, so equal rows have equal bytes): np.unique(losses, axis=0)
         # compares rows value by value and takes seconds at the cap.
-        keys = np.ascontiguousarray(losses + 0.0).view(f"V{losses.itemsize * n}")[:, 0] if n else np.zeros(len(losses))
+        keys = np.ascontiguousarray(losses + 0.0).view(f"V{losses.itemsize * n}")[:, 0]
         distinct_row = np.unique(keys, return_inverse=True)[1]
         for a in (probabilities, losses, risks, distinct_row):
             a.flags.writeable = False
@@ -399,14 +395,17 @@ def random_instance(
 ) -> ProblemInstance:
     """Deterministic random instance over the full (x, y) grid.
 
-    zero_one instances draw y values and tables from a shared integer
-    codomain so mismatches occur; squared instances use values in [-1, 1]
-    and set the bound to the exact maximum entry of their loss matrix.
+    zero_one instances draw y values and tables from a shared integer codomain
+    so mismatches occur; the tables are one (h_size, x_size) integers draw,
+    which uses the same stream words as a draw per entry. squared instances
+    use values in [-1, 1] and set the bound to their loss matrix's exact maximum.
     """
     if min(x_size, y_size, h_size) < 1:
         raise ValidationError("random_instance: x_size, y_size, h_size must be >= 1")
     if (entries := h_size * x_size * y_size) > MAX_LOSS_ENTRIES:
         raise ValidationError(f"random_instance: {entries} loss-matrix entries exceed the cap of {MAX_LOSS_ENTRIES}")
+    if loss_kind not in ("zero_one", "squared"):
+        raise ValidationError(f"random_instance: unsupported loss kind {loss_kind!r}")
     rng = np.random.default_rng(seed)
     n = x_size * y_size
     probs = rng.uniform(0.05, 1.0, n)
@@ -416,19 +415,15 @@ def random_instance(
 
     if loss_kind == "zero_one":
         y_values = [float(i) for i in range(y_size)]
-        hyps = [
-            (f"h{j}", [float(rng.integers(0, y_size)) for _ in range(x_size)])
-            for j in range(h_size)
-        ]
-        return make_instance(x_size, y_values, k, support, hyps, LossSpec(kind="zero_one", bound=1.0))
-    if loss_kind != "squared":
-        raise ValidationError(f"random_instance: unsupported loss kind {loss_kind!r}")
-    y_values = sorted(float(v) for v in rng.uniform(-1.0, 1.0, y_size))
-    tables = rng.uniform(-1.0, 1.0, (h_size, x_size))
-    # The bound is the largest loss on the full (x, y) grid, which is the support.
-    worst = float(((tables[:, :, None] - np.array(y_values)) ** 2).max())
-    hyps = [(f"h{j}", table.tolist()) for j, table in enumerate(tables)]
-    return make_instance(x_size, y_values, k, support, hyps, LossSpec("squared", worst if worst > 0 else 1.0))
+        tables = rng.integers(0, y_size, (h_size, x_size))
+        loss = LossSpec("zero_one", 1.0)
+    else:
+        y_values = sorted(float(v) for v in rng.uniform(-1.0, 1.0, y_size))
+        tables = rng.uniform(-1.0, 1.0, (h_size, x_size))
+        # The bound is the largest loss on the full (x, y) grid, which is the support.
+        worst = float(((tables[:, :, None] - np.array(y_values)) ** 2).max())
+        loss = LossSpec("squared", worst if worst > 0 else 1.0)
+    return make_instance(x_size, y_values, k, support, [(f"h{j}", t) for j, t in enumerate(tables.tolist())], loss)
 
 
 def demo_instance() -> ProblemInstance:

@@ -185,6 +185,8 @@ class TestConfigValidation:
             ({"trials": "2"}, "trials"),
             # 2e12 loss entries: a MemoryError traceback allocating 7 TiB.
             ({"instance": None, "random": {"seed": 1, "x_size": 10**6, "y_size": 10**6, "h_size": 2}}, r"^random: "),
+            # A misspelt key used to be ignored, running the defaults.
+            ({"engien": "statevector"}, r"^engien: unknown field"),
         ],
     )
     def test_bad_config_rejected_before_any_cell(self, repo_root, tmp_path, capsys, overrides, field):
@@ -420,6 +422,13 @@ class TestCli:
         config_path.write_text(json.dumps(demo2_config(repo_root)))
         assert main(["bench", "--config", str(config_path), "--out", str(tmp_path)]) == 2
         assert "directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["estimate", "--hypothesis", "identity"], ["learn"]])
+    def test_negative_seed_is_usage_error_naming_seed(self, repo_root, capsys, command):
+        # numpy used to reject it with a message naming no flag.
+        instance = str(repo_root / "instances" / "demo2.json")
+        assert main([*command, "--instance", instance, "--epsilon", "0.1", "--delta", "0.1", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: --seed: must be >= 0, got -1")
 
     def test_verify_quick_exits_zero(self, capsys):
         assert main(["verify", "--quick"]) == 0

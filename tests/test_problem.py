@@ -96,9 +96,11 @@ class TestExactRisk:
 
     def test_zero_loss_gives_zero_risk(self):
         inst = table_loss_instance(
-            (0.3, 0.2, 0.1, 0.4), {"f": [[0.0, 0.0], [0.0, 0.0]]}, bound=1.0
+            (0.3, 0.2, 0.1, 0.4), {"f": [[0.0, 0.0], [0.0, 0.0]], "g": [[-0.0, -0.0], [-0.0, -0.0]]}, bound=1.0
         )
         assert exact_risk(inst, "f") == 0.0
+        # A sum started at 0.0 is +0.0 even when every term is -0.0.
+        assert inst.risks.tobytes() == np.zeros(2).tobytes()
 
     def test_point_mass_single_term(self):
         inst = make_instance(
@@ -186,8 +188,6 @@ class TestDistinctRowIndex:
         assert twinned.distinct_row.tolist() == demo2.distinct_row.tolist() * 2
         with pytest.raises(ValueError, match="read-only"):
             twinned.distinct_row[0] = 1
-        # With no support points every loss row is empty, so all are equal.
-        assert dataclasses.replace(demo2, support=()).distinct_row.tolist() == [0] * len(demo2.hypotheses)
 
     def test_signed_zeros_are_one_row(self):
         values = {"a": [[0.0, 0.5], [0.0, 0.0]], "b": [[-0.0, 0.5], [0.0, -0.0]], "c": [[0.5, 0.0], [0.0, 0.0]]}
@@ -470,6 +470,20 @@ class TestLoading:
             h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
         assert h.hexdigest() == digest
 
+    @pytest.mark.parametrize("y_size", [1, 2, 3, 7, 64])
+    def test_zero_one_tables_take_the_per_entry_stream(self, y_size):
+        # One (h_size, x_size) integers draw takes the same words as one draw
+        # per entry, the spare half of a 64-bit word included (9 entries).
+        seed, x_size, h_size = 5, 3, 3
+        rng = np.random.default_rng(seed)
+        rng.uniform(0.05, 1.0, x_size * y_size)  # the support masses come first
+        reference = [tuple(float(rng.integers(0, y_size)) for _ in range(x_size)) for _ in range(h_size)]
+        assert [f.table for f in random_instance(seed, x_size, y_size, h_size).hypotheses] == reference
+        twin = np.random.default_rng(seed)
+        twin.uniform(0.05, 1.0, x_size * y_size)
+        twin.integers(0, y_size, (h_size, x_size))
+        assert twin.integers(0, 2**31, 3).tolist() == rng.integers(0, 2**31, 3).tolist()
+
     def test_random_instance_rejects_bad_counts(self):
         with pytest.raises(ValidationError):
             random_instance(1, x_size=0, y_size=2, h_size=1)
@@ -500,6 +514,9 @@ class TestLoading:
         assert moved.probabilities.tolist() == [z.p for z in demo2.support[::-1]]
 
 
+DEMO_PAIR = demo_instance().hypotheses[:2]
+
+
 class TestInstanceInvariants:
     """Every rule but the raw support's holds however an instance is made."""
 
@@ -511,6 +528,9 @@ class TestInstanceInvariants:
             ("hypotheses[*].id", {"hypotheses": (Hypothesis("h", (0.0, 1.0)),) * 2}),
             ("hypotheses[0].table", {"hypotheses": (Hypothesis("short", (0.0,)),)}),
             ("hypotheses[0].table", {"hypotheses": (Hypothesis("nan", (0.0, math.nan)),)}),
+            ("hypotheses[2].table", {"hypotheses": (*DEMO_PAIR, Hypothesis("inf", (math.inf, 0.0)))}),
+            ("hypotheses[2].table", {"hypotheses": (*DEMO_PAIR, Hypothesis("short", (0.0,)))}),
+            ("support", {"support": ()}),
             ("loss.kind", {"loss": LossSpec("bogus", 1.0)}),
             ("loss.bound", {"loss": LossSpec("zero_one", 0.0)}),
             ("loss.bound", {"loss": LossSpec("zero_one", math.inf)}),
@@ -522,7 +542,8 @@ class TestInstanceInvariants:
             ("support[0].x", {"support": (SupportPoint(5, 0, 1.0),)}),
         ],
         ids=[
-            "k=1", "empty-class", "duplicate-id", "short-table", "nan-table", "unknown-kind",
+            "k=1", "empty-class", "duplicate-id", "short-table", "nan-table", "inf-table-at-2",
+            "short-table-at-2", "empty-support", "unknown-kind",
             "bound-0", "bound-inf", "bound-nan", "table-missing", "loss-above-bound",
             "nan-y-value", "y-code-outside", "x-code-outside",
         ],
