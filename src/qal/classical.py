@@ -58,7 +58,7 @@ def draw_iid_samples(
     rng = np.random.default_rng(rng)
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    return rng.choice(len(inst.support), size=n, p=inst.probabilities).astype(np.int64)
+    return rng.choice(len(inst.probabilities), size=n, p=inst.probabilities).astype(np.int64)
 
 
 def loss_matrix(inst: ProblemInstance) -> np.ndarray:

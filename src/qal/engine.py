@@ -86,7 +86,7 @@ def _check_norm(state: np.ndarray) -> None:
 def prepare_data_state(inst: ProblemInstance) -> np.ndarray:
     """Load sqrt(p_z) onto the support codes of the data register."""
     amps = np.zeros(2**inst.k, dtype=complex)
-    amps[: len(inst.support)] = np.sqrt(inst.probabilities)
+    amps[: len(inst.probabilities)] = np.sqrt(inst.probabilities)
     return amps
 
 
@@ -98,7 +98,7 @@ def loss_encoded_state(inst: ProblemInstance, f: Hypothesis) -> np.ndarray:
     """
     amps = prepare_data_state(inst)
     vals = np.zeros(amps.size)
-    vals[: len(inst.support)] = inst.losses[inst.row(f)] / inst.loss.bound
+    vals[: len(inst.probabilities)] = inst.losses[inst.row(f)] / inst.loss.bound
     state = np.empty((amps.size, 2), dtype=complex)
     state[:, 0] = amps * np.sqrt(1.0 - vals)
     state[:, 1] = amps * np.sqrt(vals)

@@ -6,21 +6,20 @@ rest of the package estimates (risks, the regression function, the noise
 variance) is a finite sum here, so it can be computed exactly and used as
 an oracle.
 
-Support points carry a dense code 0..len(support)-1; the data register of
-the quantum engine indexes basis states by that code, and a point's y
-value is y_values[y_index]. Each instance builds its loss matrix (hypotheses
-by support codes) with one array expression per loss kind, and its exact
+The support is three arrays: support code j is the pair (x[j], y_index[j])
+with mass probabilities[j], and the quantum data register indexes basis
+states by that code. Each instance builds its loss matrix (hypotheses by
+support codes) with one array expression per loss kind, and its exact
 risks, once on construction; every risk, loss rotation and ERM reads them.
 
 Every ProblemInstance is valid, dataclasses.replace included: its
-constructor checks all but the support's masses and distinct pairs, which
-make_instance checks.
+constructor checks every rule and raises ValidationError on a broken one.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,15 +37,6 @@ class ValidationError(ValueError):
 
     Messages start with the offending field path, e.g. "support[*].p: ...".
     """
-
-
-@dataclass(frozen=True)
-class SupportPoint:
-    """One atom of the joint distribution: x code, y code, mass."""
-
-    x: int
-    y_index: int
-    p: float
 
 
 @dataclass(frozen=True)
@@ -71,44 +61,54 @@ class LossSpec:
     table: dict[str, tuple[tuple[float, ...], ...]] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """Joint distribution, hypothesis class, and loss, all finite.
 
-    Construction (dataclasses.replace included) raises ValidationError on
-    any broken rule but those on support masses and pairs, which
-    make_instance checks.
+    Construction (dataclasses.replace included) copies and freezes the
+    support arrays and raises ValidationError on any broken rule.
+    Instances compare by value and are unhashable.
     """
 
     x_size: int
     y_values: tuple[float, ...]
     k: int
-    support: tuple[SupportPoint, ...]
+    x: np.ndarray
+    y_index: np.ndarray
+    probabilities: np.ndarray
     hypotheses: tuple[Hypothesis, ...]
     loss: LossSpec
     # Derived from the fields above on construction (and by
-    # dataclasses.replace): probabilities[j] is the mass of support code j,
-    # losses[i, j] is the loss of hypotheses[i] at support code j on the
-    # original scale, risks[i] sums p_j * losses[i, j] left to right over
-    # the support, and distinct_row[i] is the index of losses[i] among the
-    # distinct loss rows.
-    probabilities: np.ndarray = field(init=False, repr=False, compare=False)
-    losses: np.ndarray = field(init=False, repr=False, compare=False)
-    risks: np.ndarray = field(init=False, repr=False, compare=False)
-    distinct_row: np.ndarray = field(init=False, repr=False, compare=False)
-    _rows: dict[str, int] = field(init=False, repr=False, compare=False)
+    # dataclasses.replace): losses[i, j] is the loss of hypotheses[i] at
+    # support code j on the original scale, risks[i] sums p_j * losses[i, j]
+    # left to right over the support, and distinct_row[i] is the index of
+    # losses[i] among the distinct loss rows.
+    losses: np.ndarray = field(init=False, repr=False)
+    risks: np.ndarray = field(init=False, repr=False)
+    distinct_row: np.ndarray = field(init=False, repr=False)
+    _rows: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.x_size < 1:
+            raise ValidationError(f"x_size: must be >= 1, got {self.x_size}")
         if self.k < 1:
             raise ValidationError(f"k: must be >= 1, got {self.k}")
-        n = len(self.support)
+        x, y_index, p = np.array(self.x), np.array(self.y_index), np.array(self.probabilities, dtype=float)
+        if x.ndim != 1 or not x.shape == y_index.shape == p.shape:
+            shapes = f"{x.shape}, {y_index.shape} and {p.shape}"
+            raise ValidationError(f"support: x, y_index and probabilities must be 1-D of one length, got {shapes}")
+        n = len(x)
         if self.k < (n - 1).bit_length():  # 2^k < len(support), without forming 2^k
             raise ValidationError(f"k: 2^{self.k} = {2**self.k} cannot hold {n} coded support points")
         if (entries := len(self.hypotheses) * n) > MAX_LOSS_ENTRIES:
             raise ValidationError(f"hypotheses: {entries} loss-matrix entries exceed the cap of {MAX_LOSS_ENTRIES}")
-        for name in ("support", "hypotheses", "y_values"):
-            if not getattr(self, name):
+        for name, items in (("support", x), ("hypotheses", self.hypotheses), ("y_values", self.y_values)):
+            if not len(items):
                 raise ValidationError(f"{name}: must be nonempty")
+        if (bad := np.flatnonzero(~(np.isfinite(p) & (p >= 0.0)))).size:
+            raise ValidationError(f"support[{bad[0]}].p: must be a finite nonnegative probability, got {p[bad[0]]}")
+        if abs((total := float(np.cumsum(p)[-1])) - 1.0) > PROB_SUM_TOL:
+            raise ValidationError(f"support[*].p: probabilities sum to {total!r}, expected 1 within {PROB_SUM_TOL}")
         rows = {f.id: i for i, f in enumerate(self.hypotheses)}
         if len(rows) != len(self.hypotheses):
             raise ValidationError("hypotheses[*].id: ids must be distinct")
@@ -127,11 +127,18 @@ class ProblemInstance:
             raise ValidationError("loss.table: required for kind 'table'")
         if not all(math.isfinite(y) for y in self.y_values):
             raise ValidationError("y_values: non-finite value")
-        x = np.array([z.x for z in self.support])
-        y_index = np.array([z.y_index for z in self.support])
-        for name, codes, size in (("x", x, self.x_size), ("y", y_index, len(self.y_values))):
+        for name, raw, codes, size in (("x", self.x, x, self.x_size), ("y", self.y_index, y_index, len(self.y_values))):
+            if codes.dtype.kind not in "iu":  # bools, floats, or objects such as ints beyond int64
+                for j, v in enumerate(raw):
+                    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                        raise ValidationError(f"support[{j}].{name}: expected integer, got {v!r:.60}")
             if (bad := np.flatnonzero((codes < 0) | (codes >= size))).size:
                 raise ValidationError(f"support[{bad[0]}].{name}: {codes[bad[0]]} outside 0..{size - 1}")
+        x, y_index = x.astype(np.intp, copy=False), y_index.astype(np.intp, copy=False)
+        first = np.unique(x * len(self.y_values) + y_index, return_index=True)[1]  # each pair's first code
+        if len(first) < n:
+            j = np.setdiff1d(np.arange(n), first)[0]
+            raise ValidationError(f"support[{j}]: duplicate pair (x={x[j]}, y={y_index[j]})")
         if loss.kind == "table":
             grids = []
             for f in self.hypotheses:
@@ -148,26 +155,30 @@ class ProblemInstance:
         outside = ~((losses >= 0.0) & (losses <= loss.bound))  # NaN lands outside
         if outside.any():
             i, j = np.argwhere(outside)[0]
-            f, z = self.hypotheses[i], self.support[j]
             raise ValidationError(
-                f"loss: value {float(losses[i, j])} for (hypothesis={f.id!r}, x={z.x}, "
-                f"y_index={z.y_index}) outside [0, {loss.bound}]"
+                f"loss: value {float(losses[i, j])} for (hypothesis={self.hypotheses[i].id!r}, x={x[j]}, "
+                f"y_index={y_index[j]}) outside [0, {loss.bound}]"
             )
-        probabilities = np.array([z.p for z in self.support])
-        weighted = losses * probabilities
+        weighted = losses * p
         risks = np.cumsum(weighted, axis=1, out=weighted)[:, -1] + 0.0  # an all -0.0 row sums to +0.0 from 0.0
         # Each loss row is sorted as one byte string (adding 0.0 folds -0.0
         # into 0.0, so equal rows have equal bytes): np.unique(losses, axis=0)
         # compares rows value by value and takes seconds at the cap.
         keys = np.ascontiguousarray(losses + 0.0).view(f"V{losses.itemsize * n}")[:, 0]
         distinct_row = np.unique(keys, return_inverse=True)[1]
-        for a in (probabilities, losses, risks, distinct_row):
+        frozen = dict(
+            x=x, y_index=y_index, probabilities=p, losses=losses, risks=risks, distinct_row=distinct_row
+        )
+        for name, a in frozen.items():
             a.flags.writeable = False
-        object.__setattr__(self, "probabilities", probabilities)
-        object.__setattr__(self, "losses", losses)
-        object.__setattr__(self, "risks", risks)
-        object.__setattr__(self, "distinct_row", distinct_row)
+            object.__setattr__(self, name, a)
         object.__setattr__(self, "_rows", rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, ProblemInstance):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.init)
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
     def row(self, f: Hypothesis | str) -> int:
         """Row of f in `losses` and `risks`; f is a class member, by id or object."""
@@ -208,14 +219,13 @@ def regression_and_variance(inst: ProblemInstance) -> tuple[dict[int, float], fl
     x codes with zero marginal mass are omitted from the map: the
     conditional mean is undefined there.
     """
-    marginal: dict[int, float] = {}
-    first_moment: dict[int, float] = {}
-    for z in inst.support:
-        marginal[z.x] = marginal.get(z.x, 0.0) + z.p
-        first_moment[z.x] = first_moment.get(z.x, 0.0) + z.p * inst.y_values[z.y_index]
-    regression = {x: first_moment[x] / m for x, m in marginal.items() if m > 0.0}
-    variance = sum(z.p * (inst.y_values[z.y_index] - regression[z.x]) ** 2 for z in inst.support if z.x in regression)
-    return regression, float(variance)
+    x, p = inst.x, inst.probabilities
+    y = np.array(inst.y_values)[inst.y_index]
+    marginal = np.bincount(x, p)  # each x code's masses added left to right over the support
+    seen = marginal > 0.0
+    mean = np.divide(np.bincount(x, p * y), marginal, out=np.zeros_like(marginal), where=seen)
+    variance = np.cumsum(p * (y - mean[x]) ** 2)[-1]  # a zero-mass x code's points add 0.0
+    return dict(zip(np.flatnonzero(seen).tolist(), mean[seen].tolist())), float(variance)
 
 
 def squared_risk_decomposition(inst: ProblemInstance, f: Hypothesis | str) -> tuple[float, float]:
@@ -229,10 +239,10 @@ def squared_risk_decomposition(inst: ProblemInstance, f: Hypothesis | str) -> tu
     f = inst.hypothesis(f)
     lhs = exact_risk(inst, f)
     regression, noise = regression_and_variance(inst)
-    marginal: dict[int, float] = {}
-    for z in inst.support:
-        marginal[z.x] = marginal.get(z.x, 0.0) + z.p
-    bias = sum(m * (f.table[x] - regression[x]) ** 2 for x, m in marginal.items() if x in regression)
+    seen = np.fromiter(regression, dtype=np.intp)
+    mean = np.fromiter(regression.values(), dtype=float)
+    marginal = np.bincount(inst.x, inst.probabilities)[seen]
+    bias = np.cumsum(marginal * (np.array(f.table)[seen] - mean) ** 2)[-1]
     return lhs, float(bias + noise)
 
 
@@ -250,31 +260,18 @@ def make_instance(
     hypotheses: list[tuple[str, list[float]]],
     loss: LossSpec,
 ) -> ProblemInstance:
-    """Validate raw parts, renormalize probabilities exactly, and freeze.
-
-    Only the raw-input checks live here: x_size, and each support entry's
-    mass and pair. The ProblemInstance constructor checks the rest.
-    """
-    if x_size < 1:
-        raise ValidationError(f"x_size: must be >= 1, got {x_size}")
-    seen: set[tuple[int, int]] = set()
-    total = 0.0
-    for i, (x, yi, p) in enumerate(support):
-        if not (math.isfinite(p) and p >= 0):
-            raise ValidationError(f"support[{i}].p: must be a finite nonnegative probability, got {p}")
-        if (x, yi) in seen:
-            raise ValidationError(f"support[{i}]: duplicate pair (x={x}, y={yi})")
-        seen.add((x, yi))
-        total += p
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ValidationError(f"support[*].p: probabilities sum to {total!r}, expected 1 within {PROB_SUM_TOL}")
-
+    """Build an instance from raw parts, renormalizing the masses exactly; the constructor checks every rule."""
+    p = np.array([z[2] for z in support], dtype=float)
+    total = np.cumsum(p)[-1] if len(p) else math.nan  # added left to right
+    if abs(total - 1.0) <= PROB_SUM_TOL:  # else the constructor names the bad mass
+        p = p / total  # exactly, so sqrt(p) amplitudes form a unit vector
     return ProblemInstance(
         x_size=x_size,
         y_values=tuple(float(y) for y in y_values),
         k=k,
-        # Renormalize exactly so sqrt(p) amplitudes form a unit vector.
-        support=tuple(SupportPoint(x, yi, p / total) for x, yi, p in support),
+        x=[z[0] for z in support],
+        y_index=[z[1] for z in support],
+        probabilities=p,
         hypotheses=tuple(Hypothesis(str(hid), tuple(float(v) for v in table)) for hid, table in hypotheses),
         loss=loss,
     )
@@ -375,11 +372,12 @@ def save_instance(inst: ProblemInstance, path: str | Path) -> None:
     loss_obj: dict = {"kind": inst.loss.kind, "bound": inst.loss.bound}
     if inst.loss.table is not None:
         loss_obj["table"] = {h: [list(r) for r in rows] for h, rows in inst.loss.table.items()}
+    points = zip(inst.x.tolist(), inst.y_index.tolist(), inst.probabilities.tolist())
     obj = {
         "x_size": inst.x_size,
         "y_values": list(inst.y_values),
         "k": inst.k,
-        "support": [{"x": z.x, "y": z.y_index, "p": z.p} for z in inst.support],
+        "support": [{"x": x, "y": y, "p": p} for x, y, p in points],
         "hypotheses": [{"id": f.id, "table": list(f.table)} for f in inst.hypotheses],
         "loss": loss_obj,
     }
@@ -410,7 +408,6 @@ def random_instance(
     n = x_size * y_size
     probs = rng.uniform(0.05, 1.0, n)
     probs = probs / probs.sum()
-    support = [(x, yi, float(probs[x * y_size + yi])) for x in range(x_size) for yi in range(y_size)]
     k = max(1, math.ceil(math.log2(n)))
 
     if loss_kind == "zero_one":
@@ -423,7 +420,10 @@ def random_instance(
         # The bound is the largest loss on the full (x, y) grid, which is the support.
         worst = float(((tables[:, :, None] - np.array(y_values)) ** 2).max())
         loss = LossSpec("squared", worst if worst > 0 else 1.0)
-    return make_instance(x_size, y_values, k, support, [(f"h{j}", t) for j, t in enumerate(tables.tolist())], loss)
+    hypotheses = tuple(Hypothesis(f"h{j}", tuple(t)) for j, t in enumerate(tables.astype(float).tolist()))
+    x, y_index = np.divmod(np.arange(n), y_size)
+    # make_instance's exact renormalization, without a (x, y, p) triple per point
+    return ProblemInstance(x_size, tuple(y_values), k, x, y_index, probs / np.cumsum(probs)[-1], hypotheses, loss)
 
 
 def demo_instance() -> ProblemInstance:

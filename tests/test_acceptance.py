@@ -45,15 +45,15 @@ def rescaled_brute_force_risk(inst, f) -> float:
     """Independent oracle: direct summation of the rescaled loss."""
     loss = inst.loss
     total = 0.0
-    for z in inst.support:
-        y = inst.y_values[z.y_index]
+    for x, yi, p in zip(inst.x.tolist(), inst.y_index.tolist(), inst.probabilities.tolist()):
+        y = inst.y_values[yi]
         if loss.kind == "zero_one":
-            raw = 1.0 if f.table[z.x] != y else 0.0
+            raw = 1.0 if f.table[x] != y else 0.0
         elif loss.kind == "squared":
-            raw = (f.table[z.x] - y) ** 2
+            raw = (f.table[x] - y) ** 2
         else:
-            raw = loss.table[f.id][z.x][z.y_index]
-        total += z.p * raw / loss.bound
+            raw = loss.table[f.id][x][yi]
+        total += p * raw / loss.bound
     return total
 
 
@@ -128,7 +128,7 @@ def test_a4_learner_coverage_quantum_and_classical():
         hits = 0
         total = 0
         for idx, inst in enumerate(instances):
-            assert len(inst.support) == 16
+            assert len(inst.probabilities) == 16
             stats = exact_statistics(inst)
             best = stats.risks[stats.best_id]
             for t in range(50):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from qal.problem import (
     Hypothesis,
     LossSpec,
     ProblemInstance,
-    SupportPoint,
     ValidationError,
     best_hypothesis,
     demo_instance,
@@ -33,20 +33,25 @@ from qal.cli import main
 from conftest import constant_loss_instance, json_values, mutate_json, table_loss_instance
 
 
-def scalar_loss(inst, f, z):
-    """Independent oracle: the loss of f at support point z, one entry at a time."""
-    y = inst.y_values[z.y_index]
+def support_points(inst):
+    """The support as (x, y_index, p) triples of Python scalars, by code."""
+    return list(zip(inst.x.tolist(), inst.y_index.tolist(), inst.probabilities.tolist()))
+
+
+def scalar_loss(inst, f, x, y_index):
+    """Independent oracle: the loss of f at the pair (x, y_index), one entry at a time."""
+    y = inst.y_values[y_index]
     if inst.loss.kind == "zero_one":
-        return 1.0 if f.table[z.x] != y else 0.0
+        return 1.0 if f.table[x] != y else 0.0
     if inst.loss.kind == "squared":
-        d = f.table[z.x] - y
+        d = f.table[x] - y
         return d * d
-    return inst.loss.table[f.id][z.x][z.y_index]
+    return inst.loss.table[f.id][x][y_index]
 
 
 def brute_force_risk(inst, f):
     """Independent oracle: direct summation over the support."""
-    return sum(z.p * scalar_loss(inst, f, z) for z in inst.support)
+    return sum(p * scalar_loss(inst, f, x, yi) for x, yi, p in support_points(inst))
 
 
 def random_table_instance(seed, x_size, y_size, h_size):
@@ -130,10 +135,10 @@ class TestExactRisk:
             inst = random_instance(5, x_size=4, y_size=4, h_size=6, loss_kind=kind)
         for i, f in enumerate(inst.hypotheses):
             total = 0.0
-            for j, z in enumerate(inst.support):
-                v = scalar_loss(inst, f, z)
+            for j, (x, yi, p) in enumerate(support_points(inst)):
+                v = scalar_loss(inst, f, x, yi)
                 assert inst.losses[i, j] == v
-                total += z.p * v
+                total += p * v
             assert exact_risk(inst, f) == total
 
     def test_replace_recomputes_the_loss_matrix(self, demo2):
@@ -241,7 +246,7 @@ class TestRegressionAndVariance:
         # Oracle: conditional means 0.2/0.5 and 0.4/0.5; variance by direct sum.
         regression, variance = regression_and_variance(demo2)
         oracle_var = sum(
-            z.p * (demo2.y_values[z.y_index] - {0: 0.4, 1: 0.8}[z.x]) ** 2 for z in demo2.support
+            p * (demo2.y_values[yi] - {0: 0.4, 1: 0.8}[x]) ** 2 for x, yi, p in support_points(demo2)
         )
         assert regression[0] == pytest.approx(0.4, abs=1e-15)
         assert regression[1] == pytest.approx(0.8, abs=1e-15)
@@ -279,7 +284,7 @@ class TestSquaredRiskDecomposition:
             x_size=2,
             y_values=[0.0, 1.0],
             k=2,
-            support=[(z.x, z.y_index, z.p) for z in demo2.support],
+            support=support_points(demo2),
             hypotheses=[("identity", [0.0, 1.0])],
             loss=LossSpec("squared", 1.0),
         )
@@ -335,11 +340,11 @@ class TestSquaredRiskDecomposition:
 class TestLoading:
     def test_demo2_round_trip(self, repo_root, demo2):
         inst = load_instance(repo_root / "instances" / "demo2.json")
-        assert len(inst.support) == 4
+        assert len(inst.probabilities) == 4
         assert inst == demo2
 
     def test_bad_probability_sum_names_field(self):
-        with pytest.raises(ValidationError, match=r"support\[\*\]\.p"):
+        with pytest.raises(ValidationError, match=r"^support\[\*\]\.p: probabilities sum to 0\.9, expected 1"):
             make_instance(
                 x_size=1,
                 y_values=[0.0, 1.0],
@@ -503,22 +508,30 @@ class TestLoading:
             hypotheses=[("f", [0.0])],
             loss=LossSpec("zero_one", 1.0),
         )
-        assert math.fsum(z.p for z in inst.support) == pytest.approx(1.0, abs=1e-15)
+        assert math.fsum(inst.probabilities) == pytest.approx(1.0, abs=1e-15)
 
     def test_probabilities_are_a_read_only_field(self, demo2):
-        assert demo2.probabilities is demo2.probabilities  # derived once, not per read
-        assert demo2.probabilities.tolist() == [z.p for z in demo2.support]
-        with pytest.raises(ValueError, match="read-only"):
-            demo2.probabilities[0] = 0.5
-        moved = dataclasses.replace(demo2, support=demo2.support[::-1])
-        assert moved.probabilities.tolist() == [z.p for z in demo2.support[::-1]]
+        assert demo2.probabilities is demo2.probabilities  # stored once, not derived per read
+        assert demo2.probabilities.tolist() == [0.3, 0.2, 0.1, 0.4]
+        for name in ("x", "y_index", "probabilities"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(demo2, name)[0] = 1
+        moved = dataclasses.replace(
+            demo2, x=demo2.x[::-1], y_index=demo2.y_index[::-1], probabilities=demo2.probabilities[::-1]
+        )
+        assert support_points(moved) == support_points(demo2)[::-1]
+        # The constructor copies its arrays: changing one afterwards leaves the instance as built.
+        x, y_index, probabilities = np.array([0, 1]), np.array([0, 0]), np.array([0.5, 0.5])
+        inst = dataclasses.replace(demo2, x=x, y_index=y_index, probabilities=probabilities)
+        x[0], y_index[0], probabilities[:] = 1, 1, (0.9, 0.1)
+        assert support_points(inst) == [(0, 0, 0.5), (1, 0, 0.5)]
 
 
 DEMO_PAIR = demo_instance().hypotheses[:2]
 
 
 class TestInstanceInvariants:
-    """Every rule but the raw support's holds however an instance is made."""
+    """Every rule holds however an instance is made."""
 
     @pytest.mark.parametrize(
         "path, fields",
@@ -530,7 +543,7 @@ class TestInstanceInvariants:
             ("hypotheses[0].table", {"hypotheses": (Hypothesis("nan", (0.0, math.nan)),)}),
             ("hypotheses[2].table", {"hypotheses": (*DEMO_PAIR, Hypothesis("inf", (math.inf, 0.0)))}),
             ("hypotheses[2].table", {"hypotheses": (*DEMO_PAIR, Hypothesis("short", (0.0,)))}),
-            ("support", {"support": ()}),
+            ("support", {"x": (), "y_index": (), "probabilities": ()}),
             ("loss.kind", {"loss": LossSpec("bogus", 1.0)}),
             ("loss.bound", {"loss": LossSpec("zero_one", 0.0)}),
             ("loss.bound", {"loss": LossSpec("zero_one", math.inf)}),
@@ -539,13 +552,23 @@ class TestInstanceInvariants:
             ("loss", {"loss": LossSpec("zero_one", 0.25)}),
             ("y_values", {"y_values": (math.nan, 1.0)}),
             ("support[1].y", {"y_values": (0.0,)}),
-            ("support[0].x", {"support": (SupportPoint(5, 0, 1.0),)}),
+            ("support[0].x", {"x": (5,), "y_index": (0,), "probabilities": (1.0,)}),
+            ("support[0].p", {"probabilities": (math.nan, 0.2, 0.1, 0.4)}),
+            ("support[2].p", {"probabilities": (0.3, 0.2, -0.1, 0.6)}),
+            ("support[*].p", {"probabilities": (0.3, 0.2, 0.1, 0.3)}),
+            ("support[1]", {"y_index": (0, 0, 0, 1)}),
+            ("support", {"probabilities": (0.3, 0.3, 0.4)}),
+            ("support[0].x", {"x": (0.5, 0, 1, 1)}),
+            ("support[0].x", {"x": (True,), "y_index": (0,), "probabilities": (1.0,)}),
+            ("support[3].y", {"y_index": (0, 1, 0, 1.0)}),
         ],
         ids=[
             "k=1", "empty-class", "duplicate-id", "short-table", "nan-table", "inf-table-at-2",
             "short-table-at-2", "empty-support", "unknown-kind",
             "bound-0", "bound-inf", "bound-nan", "table-missing", "loss-above-bound",
-            "nan-y-value", "y-code-outside", "x-code-outside",
+            "nan-y-value", "y-code-outside", "x-code-outside", "nan-mass", "negative-mass",
+            "masses-sum-0.9", "duplicate-pair", "unequal-lengths", "half-x-code", "bool-x-code",
+            "float-y-code",
         ],
     )
     def test_replace_is_checked(self, path, fields):
@@ -599,6 +622,17 @@ class TestInstanceJsonShape:
         args = ["--instance", str(inst_path), "--epsilon", "0.1", "--delta", "0.1", "--seed", "1"]
         assert main(["estimate", "--hypothesis", "identity", *args]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("key, value", [("x", 10**30), ("y", -(2**70))])
+    def test_codes_beyond_int64_are_named_exactly(self, repo_root, tmp_path, key, value):
+        # Cast through int64 or float, such a code would wrap or round before the range check.
+        obj = demo2_json(repo_root)
+        obj["support"][0][key] = value
+        (tmp_path / "inst.json").write_text(json.dumps(obj))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match=rf"^support\[0\]\.{key}: {value} outside 0\.\.1$"):
+                load_instance(tmp_path / "inst.json")
 
     def test_missing_field_is_named(self, repo_root, tmp_path):
         obj = demo2_json(repo_root)
