@@ -82,7 +82,7 @@ def _cmd_learn(args) -> int:
         payload = {
             "method": "quantum",
             "chosen_id": result.chosen_id,
-            "estimated_risks": {k: r.mu_hat for k, r in result.estimates.items()},
+            "estimated_risks": dict(zip(result.ids, result.batch.mu_hat.tolist())),
             "samples_used": result.total_quantum_samples,
             "budget": {"epsilon_per_hypothesis": result.budget[0], "delta_per_hypothesis": result.budget[1]},
         }

@@ -5,10 +5,10 @@ error bound meets the rescaled accuracy target; the repetition count makes
 the median of independent runs reach the confidence target. Estimates are
 formed on the rescaled (bound-one) loss and mapped back by the bound.
 
-Estimates at a common (epsilon, delta) run as one batch: the outcome law
-depends only on a hypothesis's loss row, so class members with equal rows
-share one law, and the batch's repetitions are one matrix of uniform
-deviates with one row per member.
+Estimates at a common (epsilon, delta) run as one batch over class rows:
+class members with equal loss rows share one outcome law, the repetitions
+are one matrix of uniform deviates, and the medians and raw estimates come
+back as arrays (BatchEstimate); a single estimate is the one-row case.
 """
 from __future__ import annotations
 
@@ -52,6 +52,22 @@ class EstimateResult:
     repetitions: int
     ledger: QueryLedger
     raw_estimates: tuple[float, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class BatchEstimate:
+    """The estimates of class rows at one schedule, as columns: mu_hat[i] and raw[i] are row i's."""
+
+    m: int
+    repetitions: int
+    ledger: QueryLedger
+    mu_hat: np.ndarray  # read-only, one median per row, on the original scale
+    raw: np.ndarray  # read-only, (rows, repetitions) per-run estimates on the rescaled scale
+
+    def results(self) -> list[EstimateResult]:
+        """One EstimateResult per row, in batch order."""
+        per_row = zip(self.mu_hat.tolist(), self.raw.tolist())
+        return [EstimateResult(mu, self.m, self.repetitions, self.ledger, tuple(raw)) for mu, raw in per_row]
 
 
 def worst_case_error(m: int) -> float:
@@ -133,20 +149,19 @@ def schedule(inst: ProblemInstance, epsilon: float, delta: float) -> tuple[int, 
 
 def estimate_batch(
     inst: ProblemInstance,
-    members: Sequence[Hypothesis | str],
+    rows: Sequence[int],
     epsilon: float,
     delta: float,
     rng: np.random.Generator | int | None,
     engine: str = "analytic",
-) -> list[EstimateResult]:
-    """Estimate the expected loss of each class member, all at (epsilon, delta).
+) -> BatchEstimate:
+    """Estimate the expected loss of class rows (indices into inst.hypotheses) at (epsilon, delta).
 
     The repetitions are one matrix of uniform deviates,
-    np.random.default_rng(rng).random((len(members), R)): row i is members[i]'s,
+    np.random.default_rng(rng).random((len(rows), R)): row i is rows[i]'s,
     mapped through the inverse CDF of its outcome law. One law is built per
-    distinct loss row (inst.distinct_row) among the members.
+    distinct loss row (inst.distinct_row) among the rows.
     """
-    rows = [inst.row(f) for f in members]
     m, reps = schedule(inst, epsilon, delta)
 
     _, first, law_of = np.unique(inst.distinct_row[rows], return_index=True, return_inverse=True)
@@ -156,12 +171,9 @@ def estimate_batch(
         law = outcome_distribution(inst, inst.hypotheses[rows[i]], m, engine=engine)
         same = law_of == j
         raw[same] = table[draw_outcome(np.cumsum(law), raw[same])]  # uniform deviates -> estimates
-    mu_hat = (inst.loss.bound * np.partition(raw, reps // 2, axis=1)[:, reps // 2]).tolist()
-    ledger = run_ledger(m, runs=reps)
-    return [
-        EstimateResult(mu_hat=mu, m=m, repetitions=reps, ledger=ledger, raw_estimates=tuple(estimates))
-        for mu, estimates in zip(mu_hat, raw.tolist())
-    ]
+    mu_hat = inst.loss.bound * np.partition(raw, reps // 2, axis=1)[:, reps // 2]
+    raw.flags.writeable = mu_hat.flags.writeable = False
+    return BatchEstimate(m, reps, run_ledger(m, runs=reps), mu_hat, raw)
 
 
 def estimate_mean(
@@ -176,7 +188,6 @@ def estimate_mean(
 
     epsilon is on the original loss scale. The repetitions draw one vector
     of uniform deviates from rng, so the estimate is reproducible per seed;
-    this is the one-member case of estimate_batch.
+    this is the one-row case of estimate_batch.
     """
-    (result,) = estimate_batch(inst, [f], epsilon, delta, rng, engine=engine)
-    return result
+    return estimate_batch(inst, [inst.row(f)], epsilon, delta, rng, engine=engine).results()[0]

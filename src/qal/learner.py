@@ -2,19 +2,20 @@
 
 Each hypothesis gets its risk estimated to half the target accuracy at a
 union-bound share of the confidence budget; the returned hypothesis is the
-estimate argmin. When every estimate is within epsilon/2 of its exact
-risk, the argmin's exact risk is within epsilon of the class optimum; that
-reduction is deterministic and exposed for direct testing.
+argmin of one columnar batch of estimates. When every estimate is within
+epsilon/2 of its exact risk, the argmin's exact risk is within epsilon of
+the class optimum; that reduction is deterministic and exposed for testing.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
-from .estimator import EstimateResult, estimate_batch
+from .estimator import BatchEstimate, EstimateResult, estimate_batch
 from .estimator import estimate_mean  # noqa: F401  (benchmark/run.py traces learner.estimate_mean by name)
 from .problem import ProblemInstance
 
@@ -24,12 +25,18 @@ EPSILON_GUARANTEE_LIMIT = 1.0 / 8.0
 DELTA_GUARANTEE_LIMIT = 1.0 / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LearnResult:
     chosen_id: str
-    estimates: dict[str, EstimateResult]
-    total_quantum_samples: int
     budget: tuple[float, float]
+    total_quantum_samples: int
+    ids: tuple[str, ...]  # batch row i is the estimate of hypothesis ids[i]
+    batch: BatchEstimate
+
+    @cached_property
+    def estimates(self) -> dict[str, EstimateResult]:
+        """Each hypothesis's EstimateResult by id, in class order; built once, on first read."""
+        return dict(zip(self.ids, self.batch.results()))
 
 
 def allocate_budget(h_size: int, epsilon: float, delta: float) -> tuple[float, float]:
@@ -70,13 +77,13 @@ def learn(
             stacklevel=2,
         )
     eps_h, delta_h = allocate_budget(len(inst.hypotheses), epsilon, delta)
-    results = estimate_batch(inst, inst.hypotheses, eps_h, delta_h, rng, engine=engine)
-    chosen = int(np.argmin([r.mu_hat for r in results]))  # the first minimum
+    batch = estimate_batch(inst, np.arange(len(inst.hypotheses)), eps_h, delta_h, rng, engine=engine)
     return LearnResult(
-        chosen_id=inst.hypotheses[chosen].id,
-        estimates={f.id: r for f, r in zip(inst.hypotheses, results)},
-        total_quantum_samples=len(results) * results[0].ledger.quantum_samples,
+        chosen_id=inst.hypotheses[int(np.argmin(batch.mu_hat))].id,  # the first minimum
         budget=(eps_h, delta_h),
+        total_quantum_samples=len(batch.mu_hat) * batch.ledger.quantum_samples,
+        ids=tuple(f.id for f in inst.hypotheses),
+        batch=batch,
     )
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -93,10 +94,17 @@ class ProblemInstance:
             raise ValidationError(f"x_size: must be >= 1, got {self.x_size}")
         if self.k < 1:
             raise ValidationError(f"k: must be >= 1, got {self.k}")
-        x, y_index, p = np.array(self.x), np.array(self.y_index), np.array(self.probabilities, dtype=float)
+        x, y_index, p = np.array(self.x), np.array(self.y_index), np.array(self.probabilities)
         if x.ndim != 1 or not x.shape == y_index.shape == p.shape:
             shapes = f"{x.shape}, {y_index.shape} and {p.shape}"
             raise ValidationError(f"support: x, y_index and probabilities must be 1-D of one length, got {shapes}")
+        for name, raw, cls in (("p", self.probabilities, Real), ("x", self.x, Integral), ("y", self.y_index, Integral)):
+            types = {raw.dtype.type} if isinstance(raw, np.ndarray) and raw.dtype != object else set(map(type, raw))
+            if not all(t is not bool and issubclass(t, cls) for t in types):  # a scan per type, not per point
+                j, v = next((j, v) for j, v in enumerate(raw) if isinstance(v, bool) or not isinstance(v, cls))
+                what = "number" if cls is Real else "integer"
+                raise ValidationError(f"support[{j}].{name}: expected {what}, got {v!r:.60}")
+        p = p.astype(float, copy=False)
         n = len(x)
         if self.k < (n - 1).bit_length():  # 2^k < len(support), without forming 2^k
             raise ValidationError(f"k: 2^{self.k} = {2**self.k} cannot hold {n} coded support points")
@@ -127,11 +135,7 @@ class ProblemInstance:
             raise ValidationError("loss.table: required for kind 'table'")
         if not all(math.isfinite(y) for y in self.y_values):
             raise ValidationError("y_values: non-finite value")
-        for name, raw, codes, size in (("x", self.x, x, self.x_size), ("y", self.y_index, y_index, len(self.y_values))):
-            if codes.dtype.kind not in "iu":  # bools, floats, or objects such as ints beyond int64
-                for j, v in enumerate(raw):
-                    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                        raise ValidationError(f"support[{j}].{name}: expected integer, got {v!r:.60}")
+        for name, codes, size in (("x", x, self.x_size), ("y", y_index, len(self.y_values))):
             if (bad := np.flatnonzero((codes < 0) | (codes >= size))).size:
                 raise ValidationError(f"support[{bad[0]}].{name}: {codes[bad[0]]} outside 0..{size - 1}")
         x, y_index = x.astype(np.intp, copy=False), y_index.astype(np.intp, copy=False)

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qal.estimator as estimator
-from qal.estimator import estimate_mean, outcome_distribution
+from qal.estimator import EstimateResult, estimate_mean, outcome_distribution
 from qal.learner import allocate_budget, argmin_risk_transfer, learn
-from qal.problem import exact_statistics, random_instance
+from qal.problem import ProblemInstance, exact_statistics, random_instance
 
 from conftest import constant_risk_class, table_loss_instance
 
@@ -117,6 +117,23 @@ class TestLearn:
             hits += stats.risks[result.chosen_id] - best <= 0.1
         assert hits / trials >= 0.85
 
+    def test_wide_class_gate(self):
+        # The checks the wide-class benchmark applies to every learn result,
+        # read through result.estimates as it reads them.
+        inst = random_instance(1, x_size=4, y_size=2, h_size=512, loss_kind="zero_one")
+        result = learn(inst, epsilon=0.05, delta=0.05, rng=1, engine="analytic")
+        eps_h, delta_h = allocate_budget(512, 0.05, 0.05)
+        m = estimator.phase_bits_for_accuracy(eps_h / inst.loss.bound)
+        reps = estimator.repetitions_for_confidence(delta_h)
+        ids = [f.id for f in inst.hypotheses]
+        assert list(result.estimates) == ids
+        for est in result.estimates.values():
+            assert est.m == m and est.repetitions == reps == len(est.raw_estimates)
+            assert est.mu_hat == inst.loss.bound * estimator.median(est.raw_estimates)
+        mu = [result.estimates[hid].mu_hat for hid in ids]
+        assert result.chosen_id == ids[int(np.argmin(mu))]
+        assert result.total_quantum_samples == 512 * reps * (2 ** (m + 1) - 1)
+
     def test_per_hypothesis_budget_affine_in_log_class_size(self):
         # The per-hypothesis preparation budget follows the union-bound
         # schedule, so it grows affinely in log|H| + log(1/delta).
@@ -173,13 +190,20 @@ class TestBatchStreams:
     @given(shape=random_shapes, seed=st.integers(0, 2**32 - 1), engine=st.sampled_from(["analytic", "statevector"]))
     def test_one_member_batch_is_estimate_mean(self, shape, seed, engine):
         inst = random_instance(**shape)
-        f = inst.hypotheses[seed % len(inst.hypotheses)]
+        row = seed % len(inst.hypotheses)
+        f = inst.hypotheses[row]
         eps, delta = 0.05 * inst.loss.bound, 0.05
         by_seed = estimate_mean(inst, f, eps, delta, rng=seed, engine=engine)
-        assert estimator.estimate_batch(inst, [f], eps, delta, seed, engine=engine) == [by_seed]
+
+        def assert_is_by_seed(batch):
+            assert batch.mu_hat.tolist() == [by_seed.mu_hat]
+            assert batch.raw.tolist() == [list(by_seed.raw_estimates)]
+            assert (batch.m, batch.repetitions, batch.ledger) == (by_seed.m, by_seed.repetitions, by_seed.ledger)
+
+        assert_is_by_seed(estimator.estimate_batch(inst, [row], eps, delta, seed, engine=engine))
         # A Generator gives the same estimate and is left in the same state.
         g_batch, g_mean = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert estimator.estimate_batch(inst, [f], eps, delta, g_batch, engine=engine) == [by_seed]
+        assert_is_by_seed(estimator.estimate_batch(inst, [row], eps, delta, g_batch, engine=engine))
         assert estimate_mean(inst, f, eps, delta, rng=g_mean, engine=engine) == by_seed
         assert g_batch.random() == g_mean.random()
 
@@ -210,6 +234,41 @@ class TestBatchStreams:
         result = learn(inst, epsilon=0.05, delta=0.05, rng=3, engine=engine)
         assert len(result.estimates) == 512
         assert len(laws) == len(set(laws)) == len(np.unique(inst.losses, axis=0)) == 16
+
+    def test_learn_builds_no_per_member_object(self, monkeypatch):
+        inst = random_instance(1, x_size=4, y_size=2, h_size=512, loss_kind="zero_one")  # the wide-class instance
+        position = {f.id: i for i, f in enumerate(inst.hypotheses)}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("learn resolved a member or built an EstimateResult")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ProblemInstance, "row", refuse)
+            patch.setattr(estimator, "EstimateResult", refuse)
+            # Each distinct law reads its exact risk by hypothesis; this stand-in
+            # reads it by position, so that any other row lookup raises.
+            patch.setattr(estimator, "exact_risk", lambda inst, f: float(inst.risks[position[f.id]]))
+            result = learn(inst, epsilon=0.05, delta=0.05, rng=3)
+        batch, bound = result.batch, inst.loss.bound
+        rebuilt = {
+            f.id: EstimateResult(bound * estimator.median(raw), batch.m, batch.repetitions, batch.ledger, tuple(raw))
+            for f, raw in zip(inst.hypotheses, batch.raw.tolist())
+        }
+        assert result.estimates == rebuilt
+        assert result.estimates is result.estimates
+        # One estimate_mean per member on one Generator reads the same deviate rows.
+        g = np.random.default_rng(3)
+        eps_h, delta_h = allocate_budget(512, 0.05, 0.05)
+        one_by_one = [estimate_mean(inst, f, eps_h, delta_h, rng=g).mu_hat for f in inst.hypotheses]
+        assert batch.mu_hat.tolist() == one_by_one
+        assert result.chosen_id == inst.hypotheses[one_by_one.index(min(one_by_one))].id
+
+    def test_batch_is_read_only(self, demo2):
+        batch = estimator.estimate_batch(demo2, [2, 0], 0.05, 0.05, rng=0)
+        assert batch.raw.shape == (2, batch.repetitions) and batch.mu_hat.shape == (2,)
+        for a in (batch.raw, batch.mu_hat):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.5
 
 
 class TestArgminRiskTransfer:

@@ -561,6 +561,10 @@ class TestInstanceInvariants:
             ("support[0].x", {"x": (0.5, 0, 1, 1)}),
             ("support[0].x", {"x": (True,), "y_index": (0,), "probabilities": (1.0,)}),
             ("support[3].y", {"y_index": (0, 1, 0, 1.0)}),
+            ("support[0].p", {"probabilities": ("0.3", 0.2, 0.1, 0.4)}),
+            ("support[0].p", {"probabilities": (True, 0.0, 0.0, 0.0)}),
+            ("support[2].x", {"x": (0, 0, True, 1)}),
+            ("support[2].x", {"x": (0, 0, True, True)}),
         ],
         ids=[
             "k=1", "empty-class", "duplicate-id", "short-table", "nan-table", "inf-table-at-2",
@@ -568,7 +572,7 @@ class TestInstanceInvariants:
             "bound-0", "bound-inf", "bound-nan", "table-missing", "loss-above-bound",
             "nan-y-value", "y-code-outside", "x-code-outside", "nan-mass", "negative-mass",
             "masses-sum-0.9", "duplicate-pair", "unequal-lengths", "half-x-code", "bool-x-code",
-            "float-y-code",
+            "float-y-code", "string-mass", "bool-mass", "bool-among-int-codes", "bool-codes-after-ints",
         ],
     )
     def test_replace_is_checked(self, path, fields):
