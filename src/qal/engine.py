@@ -25,7 +25,8 @@ steps they save.
 the prepared state splits evenly between two conjugate eigenvectors of
 the iterate, so the phase register follows an equal mixture of two
 Fejer-type kernels centered at +/- asin(sqrt(a))/pi. It serves as an
-independent oracle for the simulated path and as a fast sampler.
+independent oracle for the simulated path and as a fast sampler; D
+amplitudes give their D laws as one (D, 2^m) array expression.
 """
 from __future__ import annotations
 
@@ -215,21 +216,25 @@ def _phase_kernel(delta: np.ndarray, t: int) -> np.ndarray:
     return np.divide(num, den, out=np.ones_like(num), where=den != 0.0)
 
 
-def closed_form_ae_distribution(a: float, m: int) -> np.ndarray:
+def closed_form_ae_distribution(a: float | tuple[float, ...], m: int) -> np.ndarray:
     """Exact outcome law of the phase register, without simulating.
 
     Equal-weight mixture of the kernels at the two conjugate eigenphases
     +/- asin(sqrt(a))/pi; at a in {0, 1} the phases coincide and the law
-    degenerates to a single kernel.
+    degenerates to a single kernel. One amplitude gives shape (2^m,), D
+    amplitudes give (D, 2^m): row d is bit for bit the law of a[d] alone,
+    since each phase is one math.asin (np.arcsin can differ in the last bit).
     """
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"a must lie in [0, 1], got {a}")
+    vals = np.asarray(a, dtype=float).ravel().tolist()
+    if bad := [v for v in vals if not 0.0 <= v <= 1.0]:  # NaN is bad too
+        raise ValueError(f"a must lie in [0, 1], got {bad[0]}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     t = 2**m
-    phi = math.asin(math.sqrt(a)) / math.pi
-    y = np.arange(t)
-    return 0.5 * (_phase_kernel(y / t - phi, t) + _phase_kernel(y / t + phi, t))
+    phi = [math.asin(math.sqrt(v)) / math.pi for v in vals]
+    # Both kernels of every law in one flat call, cheaper per law than a call each; y - (-phi) is y + phi exactly.
+    kernels = _phase_kernel((np.arange(t) / t - np.array([phi, [-p for p in phi]])[..., None]).ravel(), t)
+    return (0.5 * (kernels[: t * len(phi)] + kernels[t * len(phi) :])).reshape(np.shape(a) + (t,))
 
 
 def ae_error_bound(a: float, m: int) -> float:

@@ -9,6 +9,7 @@ Estimates at a common (epsilon, delta) run as one batch over class rows:
 class members with equal loss rows share one outcome law, the repetitions
 are one matrix of uniform deviates, and the medians and raw estimates come
 back as arrays (BatchEstimate); a single estimate is the one-row case.
+Rows are grouped by loss row, and each block of laws is built in one call.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .engine import (
     run_ledger,
     simulate_ae_distribution,
 )
-from .problem import Hypothesis, ProblemInstance, exact_risk
+from .problem import Hypothesis, ProblemInstance, exact_risk  # noqa: F401  (benchmark/run.py traces exact_risk here)
 
 ENGINE_MODES = ("statevector", "analytic")
 
@@ -111,25 +112,21 @@ def median(values) -> float:
     return sorted(vals)[len(vals) // 2]
 
 
-def outcome_distribution(
-    inst: ProblemInstance,
-    f: Hypothesis,
-    m: int,
-    engine: str = "analytic",
-) -> np.ndarray:
-    """Phase-register outcome law via the selected engine.
-
-    "statevector" runs the full circuit; "analytic" evaluates the
-    closed-form law at the exactly known amplitude. The two agree to
-    floating-point precision, so results are interchangeable.
-    """
+def outcome_laws(inst: ProblemInstance, rows: Sequence[int], m: int, engine: str = "analytic") -> np.ndarray:
+    """The (len(rows), 2^m) phase-register outcome laws of class rows: "statevector" runs the full circuit
+    per row, "analytic" makes one closed-form call at the exact amplitudes; they agree to float precision."""
     if engine == "statevector":
-        return simulate_ae_distribution(inst, f, m)
+        return np.array([simulate_ae_distribution(inst, inst.hypotheses[i], m) for i in rows])
     if engine == "analytic":
-        a = exact_risk(inst, f) / inst.loss.bound
         # A valid instance's risk lies in [0, bound], so a leaves [0, 1] only by round-off.
-        return closed_form_ae_distribution(min(max(a, 0.0), 1.0), m)
+        a = (inst.risks[rows] / inst.loss.bound).tolist()
+        return closed_form_ae_distribution(tuple([min(max(v, 0.0), 1.0) for v in a]), m)
     raise ValueError(f"engine must be one of {ENGINE_MODES}, got {engine!r}")
+
+
+def outcome_distribution(inst: ProblemInstance, f: Hypothesis, m: int, engine: str = "analytic") -> np.ndarray:
+    """Phase-register outcome law of class member f: the one-row case of outcome_laws."""
+    return outcome_laws(inst, [inst.row(f)], m, engine=engine)[0]
 
 
 def schedule(inst: ProblemInstance, epsilon: float, delta: float) -> tuple[int, int]:
@@ -160,17 +157,21 @@ def estimate_batch(
     The repetitions are one matrix of uniform deviates,
     np.random.default_rng(rng).random((len(rows), R)): row i is rows[i]'s,
     mapped through the inverse CDF of its outcome law. One law is built per
-    distinct loss row (inst.distinct_row) among the rows.
+    distinct loss row (inst.distinct_row), in blocks no larger than the deviates.
     """
     m, reps = schedule(inst, epsilon, delta)
 
-    _, first, law_of = np.unique(inst.distinct_row[rows], return_index=True, return_inverse=True)
+    order = np.argsort(inst.distinct_row[rows], kind="stable")  # law j's rows: order[bounds[j] : bounds[j + 1]]
+    bounds = [0, *(np.flatnonzero(np.diff(inst.distinct_row[rows][order])) + 1).tolist(), len(rows)]
+    firsts = np.take(rows, order[bounds[:-1]])  # each law's first row in batch order
     raw = np.random.default_rng(rng).random((len(rows), reps))
-    table = phase_estimates(m)
-    for j, i in enumerate(first):
-        law = outcome_distribution(inst, inst.hypotheses[rows[i]], m, engine=engine)
-        same = law_of == j
-        raw[same] = table[draw_outcome(np.cumsum(law), raw[same])]  # uniform deviates -> estimates
+    grouped = raw[order]
+    block = max(1, len(rows) * reps // 2**m)
+    for b in range(0, len(firsts), block):
+        cdfs = np.cumsum(outcome_laws(inst, firsts[b : b + block], m, engine=engine), axis=1)
+        for cdf, lo, hi in zip(cdfs, bounds[b : b + block], bounds[b + 1 : b + block + 1]):
+            grouped[lo:hi] = phase_estimates(m)[draw_outcome(cdf, grouped[lo:hi])]  # uniform deviates -> estimates
+    raw[order] = grouped
     mu_hat = inst.loss.bound * np.partition(raw, reps // 2, axis=1)[:, reps // 2]
     raw.flags.writeable = mu_hat.flags.writeable = False
     return BatchEstimate(m, reps, run_ledger(m, runs=reps), mu_hat, raw)

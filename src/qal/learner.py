@@ -79,10 +79,10 @@ def learn(
     eps_h, delta_h = allocate_budget(len(inst.hypotheses), epsilon, delta)
     batch = estimate_batch(inst, np.arange(len(inst.hypotheses)), eps_h, delta_h, rng, engine=engine)
     return LearnResult(
-        chosen_id=inst.hypotheses[int(np.argmin(batch.mu_hat))].id,  # the first minimum
+        chosen_id=inst.ids[int(np.argmin(batch.mu_hat))],  # the first minimum
         budget=(eps_h, delta_h),
         total_quantum_samples=len(batch.mu_hat) * batch.ledger.quantum_samples,
-        ids=tuple(f.id for f in inst.hypotheses),
+        ids=inst.ids,
         batch=batch,
     )
 

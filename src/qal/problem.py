@@ -62,6 +62,15 @@ class LossSpec:
     table: dict[str, tuple[tuple[float, ...], ...]] | None = None
 
 
+def _checked_column(name: str, raw, cls: type):
+    """raw, if every entry is a non-bool cls; else ValidationError naming support[j].name."""
+    types = {raw.dtype.type} if isinstance(raw, np.ndarray) and raw.dtype != object else set(map(type, raw))
+    if not all(t is not bool and issubclass(t, cls) for t in types):  # a scan per type, not per point
+        j, v = next((j, v) for j, v in enumerate(raw) if isinstance(v, bool) or not isinstance(v, cls))
+        raise ValidationError(f"support[{j}].{name}: expected {'number' if cls is Real else 'integer'}, got {v!r:.60}")
+    return raw
+
+
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """Joint distribution, hypothesis class, and loss, all finite.
@@ -82,8 +91,9 @@ class ProblemInstance:
     # Derived from the fields above on construction (and by
     # dataclasses.replace): losses[i, j] is the loss of hypotheses[i] at
     # support code j on the original scale, risks[i] sums p_j * losses[i, j]
-    # left to right over the support, and distinct_row[i] is the index of
-    # losses[i] among the distinct loss rows.
+    # left to right over the support, distinct_row[i] is the index of
+    # losses[i] among the distinct loss rows, and ids[i] is hypotheses[i].id.
+    ids: tuple[str, ...] = field(init=False, repr=False)
     losses: np.ndarray = field(init=False, repr=False)
     risks: np.ndarray = field(init=False, repr=False)
     distinct_row: np.ndarray = field(init=False, repr=False)
@@ -99,11 +109,7 @@ class ProblemInstance:
             shapes = f"{x.shape}, {y_index.shape} and {p.shape}"
             raise ValidationError(f"support: x, y_index and probabilities must be 1-D of one length, got {shapes}")
         for name, raw, cls in (("p", self.probabilities, Real), ("x", self.x, Integral), ("y", self.y_index, Integral)):
-            types = {raw.dtype.type} if isinstance(raw, np.ndarray) and raw.dtype != object else set(map(type, raw))
-            if not all(t is not bool and issubclass(t, cls) for t in types):  # a scan per type, not per point
-                j, v = next((j, v) for j, v in enumerate(raw) if isinstance(v, bool) or not isinstance(v, cls))
-                what = "number" if cls is Real else "integer"
-                raise ValidationError(f"support[{j}].{name}: expected {what}, got {v!r:.60}")
+            _checked_column(name, raw, cls)
         p = p.astype(float, copy=False)
         n = len(x)
         if self.k < (n - 1).bit_length():  # 2^k < len(support), without forming 2^k
@@ -176,6 +182,7 @@ class ProblemInstance:
         for name, a in frozen.items():
             a.flags.writeable = False
             object.__setattr__(self, name, a)
+        object.__setattr__(self, "ids", tuple(rows))
         object.__setattr__(self, "_rows", rows)
 
     def __eq__(self, other):
@@ -214,7 +221,7 @@ def exact_risk(inst: ProblemInstance, f: Hypothesis | str) -> float:
 
 def best_hypothesis(inst: ProblemInstance) -> str:
     """Id of the exact-risk minimizer; ties broken by lowest list index."""
-    return inst.hypotheses[int(np.argmin(inst.risks))].id
+    return inst.ids[int(np.argmin(inst.risks))]
 
 
 def regression_and_variance(inst: ProblemInstance) -> tuple[dict[int, float], float]:
@@ -252,7 +259,7 @@ def squared_risk_decomposition(inst: ProblemInstance, f: Hypothesis | str) -> tu
 
 def exact_statistics(inst: ProblemInstance) -> ExactStatistics:
     """The exact risks keyed by hypothesis id, with the best hypothesis."""
-    risks = dict(zip((f.id for f in inst.hypotheses), inst.risks.tolist()))
+    risks = dict(zip(inst.ids, inst.risks.tolist()))
     return ExactStatistics(risks, best_hypothesis(inst))
 
 
@@ -265,7 +272,7 @@ def make_instance(
     loss: LossSpec,
 ) -> ProblemInstance:
     """Build an instance from raw parts, renormalizing the masses exactly; the constructor checks every rule."""
-    p = np.array([z[2] for z in support], dtype=float)
+    p = np.array(_checked_column("p", [z[2] for z in support], Real), dtype=float)  # before float() reads "0.3" or True
     total = np.cumsum(p)[-1] if len(p) else math.nan  # added left to right
     if abs(total - 1.0) <= PROB_SUM_TOL:  # else the constructor names the bad mass
         p = p / total  # exactly, so sqrt(p) amplitudes form a unit vector

@@ -239,6 +239,36 @@ class TestClosedFormLaw:
         with pytest.raises(ValueError):
             closed_form_ae_distribution(1.5, 3)
 
+    @pytest.mark.parametrize("m", range(1, 15))
+    def test_batched_rows_equal_the_scalar_laws(self, m):
+        t = 2**m
+        rng = np.random.default_rng(m)
+        # 0 and 1 put the kernel's zero denominator at y = 0 and y = t/2;
+        # sin^2(pi/4) = 0.5 puts a phase on a grid point too.
+        amps = (0.0, 0.5, 1.0, math.sin(math.pi / 4) ** 2, *rng.random(20).tolist(), 0.0, 1.0)
+        laws = closed_form_ae_distribution(amps, m)
+        assert laws.shape == (len(amps), t)
+        y = np.arange(t)
+        for a, law in zip(amps, laws):
+            alone = closed_form_ae_distribution(a, m)
+            assert alone.shape == (t,)
+            assert np.array_equal(law, alone)
+            # The one-amplitude formula, phase from math.asin: np.arcsin differs in the last bit on some a.
+            phi, kernel = math.asin(math.sqrt(a)) / math.pi, engine._phase_kernel
+            assert np.array_equal(law, 0.5 * (kernel(y / t - phi, t) + kernel(y / t + phi, t)))
+        assert np.array_equal(closed_form_ae_distribution(list(amps[:3]), m), laws[:3])
+        assert laws[0, 0] == laws[2, t // 2] == 1.0  # the denominator-zero entries take the kernel's limit
+
+    @pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, math.nan, math.inf])
+    @pytest.mark.parametrize("where", [0, 2])
+    def test_batched_rejects_any_bad_amplitude(self, bad, where):
+        amps = [0.2, 0.4, 0.6]
+        amps[where] = bad
+        with pytest.raises(ValueError, match=r"^a must lie in \[0, 1\], got "):
+            closed_form_ae_distribution(tuple(amps), 4)
+        with pytest.raises(ValueError, match=r"^a must lie in \[0, 1\], got "):
+            closed_form_ae_distribution(bad, 4)
+
     @settings(max_examples=80, deadline=None)
     @given(a=st.floats(0.0, 1.0), m=st.integers(1, 6))
     def test_law_is_a_symmetric_distribution(self, a, m):

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qal.estimator as estimator
+import qal.problem as problem
+from qal.engine import closed_form_ae_distribution, draw_outcome, phase_estimates, simulate_ae_distribution
 from qal.estimator import EstimateResult, estimate_mean, outcome_distribution
 from qal.learner import allocate_budget, argmin_risk_transfer, learn
 from qal.problem import ProblemInstance, exact_statistics, random_instance
@@ -224,20 +226,68 @@ class TestBatchStreams:
         # The wide-class benchmark instance: 512 zero-one tables over four x
         # codes and two labels, so at most 16 distinct loss rows.
         inst = random_instance(1, x_size=4, y_size=2, h_size=512, loss_kind="zero_one")
-        laws = []
+        first = np.unique(inst.distinct_row, return_index=True)[1]  # each loss row's first member
+        assert len(first) == len(np.unique(inst.losses, axis=0)) == 16
+        built = []  # one entry per law built
+        if engine == "analytic":
 
-        def counting(inst, f, m, **kwargs):
-            laws.append(f.id)
-            return outcome_distribution(inst, f, m, **kwargs)
+            def counting(a, m):
+                built.extend(a)
+                return closed_form_ae_distribution(a, m)
 
-        monkeypatch.setattr(estimator, "outcome_distribution", counting)
+            monkeypatch.setattr(estimator, "closed_form_ae_distribution", counting)
+            expected = (inst.risks[first] / inst.loss.bound).tolist()  # each representative's amplitude, once
+        else:
+
+            def counting(inst, f, m):
+                built.append(f.id)
+                return simulate_ae_distribution(inst, f, m)
+
+            monkeypatch.setattr(estimator, "simulate_ae_distribution", counting)
+            expected = [inst.ids[i] for i in first]
         result = learn(inst, epsilon=0.05, delta=0.05, rng=3, engine=engine)
         assert len(result.estimates) == 512
-        assert len(laws) == len(set(laws)) == len(np.unique(inst.losses, axis=0)) == 16
+        assert built == expected and len(built) == 16  # first holds distinct members, so none repeats
+
+    def test_law_blocks_fit_the_deviate_matrix(self, monkeypatch, separation_instance):
+        calls = []  # amplitudes per closed-form call
+
+        def counting(a, m):
+            calls.append(len(a))
+            return closed_form_ae_distribution(a, m)
+
+        monkeypatch.setattr(estimator, "closed_form_ae_distribution", counting)
+        wide = random_instance(1, x_size=4, y_size=2, h_size=512, loss_kind="zero_one")
+        for seed in range(3):
+            calls.clear()
+            learn(wide, epsilon=0.05, delta=0.05, rng=seed)
+            assert calls == [16]  # one block: 512 * 51 deviates hold all 16 laws of 2^8
+        # Four rows with R <= 37 and 2^m >= 256: one law per call, as before blocks.
+        distinct = len(np.unique(separation_instance.distinct_row))
+        for eps in (0.1, 0.05, 0.025, 0.0125):
+            calls.clear()
+            learn(separation_instance, epsilon=eps, delta=0.005, rng=0)
+            assert calls == [1] * distinct
+        # 3966 distinct rows at m = 7, R = 57: blocks of 4096 * 57 // 128 = 1824 laws.
+        inst = random_instance(1, 16, 2, 2**12)
+        calls.clear()
+        result = learn(inst, epsilon=0.1, delta=0.1, rng=5)
+        m, reps = result.batch.m, result.batch.repetitions
+        assert (m, reps, len(np.unique(inst.distinct_row))) == (7, 57, 3966)
+        assert calls == [1824, 1824, 318]
+        assert max(calls) * 2**m <= max(len(inst.ids) * reps, 2**m)
+        # Each member's row equals its law rebuilt alone, drawn on its own deviates.
+        u = np.random.default_rng(5).random((len(inst.ids), reps))
+        laws = {}
+        for i, row in enumerate(u):
+            d = inst.distinct_row[i]
+            if d not in laws:
+                laws[d] = np.cumsum(closed_form_ae_distribution(float(inst.risks[i] / inst.loss.bound), m))
+            u[i] = phase_estimates(m)[draw_outcome(laws[d], row)]
+        assert np.array_equal(result.batch.raw, u)
 
     def test_learn_builds_no_per_member_object(self, monkeypatch):
         inst = random_instance(1, x_size=4, y_size=2, h_size=512, loss_kind="zero_one")  # the wide-class instance
-        position = {f.id: i for i, f in enumerate(inst.hypotheses)}
 
         def refuse(*args, **kwargs):
             raise AssertionError("learn resolved a member or built an EstimateResult")
@@ -245,9 +295,8 @@ class TestBatchStreams:
         with monkeypatch.context() as patch:
             patch.setattr(ProblemInstance, "row", refuse)
             patch.setattr(estimator, "EstimateResult", refuse)
-            # Each distinct law reads its exact risk by hypothesis; this stand-in
-            # reads it by position, so that any other row lookup raises.
-            patch.setattr(estimator, "exact_risk", lambda inst, f: float(inst.risks[position[f.id]]))
+            patch.setattr(estimator, "exact_risk", refuse)
+            patch.setattr(problem, "exact_risk", refuse)
             result = learn(inst, epsilon=0.05, delta=0.05, rng=3)
         batch, bound = result.batch, inst.loss.bound
         rebuilt = {

@@ -364,6 +364,15 @@ class TestLoading:
                 [("h", [0.0, 1.0])], LossSpec("zero_one", 1.0),
             )
 
+    @pytest.mark.parametrize("j,bad", [(0, "0.3"), (3, True)], ids=["string-mass", "bool-mass"])
+    def test_mass_type_checked_before_conversion(self, j, bad):
+        # Converting to float first parsed "0.3" as a mass and read True as 1.0.
+        masses = [0.3, 0.2, 0.1, 0.4]
+        masses[j] = bad
+        support = [(x, y, p) for (x, y), p in zip([(0, 0), (0, 1), (1, 0), (1, 1)], masses)]
+        with pytest.raises(ValidationError, match=rf"^support\[{j}\]\.p: expected number"):
+            make_instance(2, [0.0, 1.0], 2, support, [("h", [0.0, 1.0])], LossSpec("zero_one", 1.0))
+
     def test_empty_hypothesis_class_rejected(self):
         with pytest.raises(ValidationError, match="hypotheses:"):
             make_instance(
