@@ -19,9 +19,9 @@ from .engine import CapacityError
 from .estimator import ENGINE_MODES, schedule
 from .learner import allocate_budget, learn
 from .problem import (
-    MAX_LOSS_ENTRIES,
     ProblemInstance,
     ValidationError,
+    check_random_spec,
     exact_statistics,
     expect,
     expect_field,
@@ -32,8 +32,6 @@ from .problem import (
 )
 
 METHODS = ("quantum", "classical")
-RANDOM_SIZES = ("x_size", "y_size", "h_size")
-RANDOM_LOSS_KINDS = ("zero_one", "squared")
 
 
 @dataclass(frozen=True)
@@ -70,24 +68,13 @@ class BenchConfig:
             raise ValidationError(f"engine: must be one of {ENGINE_MODES}, got {self.engine!r}")
         if (self.instance_path is None) == (self.random_spec is None):
             raise ValidationError("config: exactly one of 'instance' and 'random' must be given")
-        if self.random_spec is not None:
-            _check_random_spec(self.random_spec)
-
-
-def _check_random_spec(spec) -> None:
-    spec = expect(spec, "object", "random")
-    unknown = sorted(spec.keys() - {"seed", "loss_kind", *RANDOM_SIZES})
-    if unknown:
-        raise ValidationError(f"random.{unknown[0]}: unknown field")
-    if expect_field(spec, "seed", "integer", "random") < 0:
-        raise ValidationError(f"random.seed: must be >= 0, got {spec['seed']}")
-    for key in RANDOM_SIZES:
-        if expect_field(spec, key, "integer", "random") < 1:
-            raise ValidationError(f"random.{key}: must be >= 1, got {spec[key]}")
-    if (entries := spec["h_size"] * spec["x_size"] * spec["y_size"]) > MAX_LOSS_ENTRIES:
-        raise ValidationError(f"random: {entries} loss-matrix entries exceed the cap of {MAX_LOSS_ENTRIES}")
-    if spec.get("loss_kind", "zero_one") not in RANDOM_LOSS_KINDS:
-        raise ValidationError(f"random.loss_kind: must be one of {RANDOM_LOSS_KINDS}, got {spec['loss_kind']!r}")
+        if self.random_spec is not None:  # the JSON rules here; check_random_spec owns random_instance's
+            spec = expect(self.random_spec, "object", "random")
+            if unknown := sorted(spec.keys() - {"seed", "x_size", "y_size", "h_size", "loss_kind"}):
+                raise ValidationError(f"random.{unknown[0]}: unknown field")
+            if expect_field(spec, "seed", "integer", "random") < 0:
+                raise ValidationError(f"random.seed: must be >= 0, got {spec['seed']}")
+            check_random_spec(spec, "random")
 
 
 @dataclass(frozen=True)

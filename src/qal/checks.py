@@ -13,12 +13,12 @@ import numpy as np
 from .engine import (
     ae_error_bound,
     circuit_state,
-    closed_form_ae_distribution,
     loss_encoded_state,
     marked_probability,
     phase_estimates,
     simulate_ae_distribution,
 )
+from .estimator import outcome_laws
 from .learner import argmin_risk_transfer
 from .problem import demo_instance, exact_risk, random_instance, squared_risk_decomposition
 
@@ -87,11 +87,10 @@ def check_risk_decomposition(n_instances: int, seed: int) -> CheckResult:
 def check_ae_interval_mass(ms: tuple[int, ...]) -> CheckResult:
     """Simulated outcome mass within the error radius beats 8/pi^2."""
     inst = demo_instance()
-    f = inst.hypotheses[0]
-    a = exact_risk(inst, f) / inst.loss.bound
+    a = exact_risk(inst, inst.hypotheses[0]) / inst.loss.bound
     worst = 1.0
     for m in ms:
-        dist = simulate_ae_distribution(inst, f, m)
+        dist = outcome_laws(inst, [0], m, "statevector")[0]
         radius = ae_error_bound(a, m)
         hats = phase_estimates(m)
         mass = float(dist[np.abs(hats - a) <= radius].sum())
@@ -103,7 +102,7 @@ def check_ae_interval_mass(ms: tuple[int, ...]) -> CheckResult:
 
 
 def check_oracle_equivalence(n_instances: int, seed: int) -> CheckResult:
-    """Simulated and closed-form outcome laws agree in total variation."""
+    """Simulated and closed-form outcome laws, as the learner's batches build them, agree in total variation."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_instances):
@@ -114,10 +113,9 @@ def check_oracle_equivalence(n_instances: int, seed: int) -> CheckResult:
             h_size=2,
             loss_kind=str(rng.choice(["zero_one", "squared"])),
         )
-        f = inst.hypotheses[int(rng.integers(0, 2))]
+        rows = [int(rng.integers(0, 2))]
         m = int(rng.integers(2, 6))
-        sim = simulate_ae_distribution(inst, f, m)
-        law = closed_form_ae_distribution(exact_risk(inst, f) / inst.loss.bound, m)
+        sim, law = (outcome_laws(inst, rows, m, engine)[0] for engine in ("statevector", "analytic"))
         worst = max(worst, _tv(sim, law))
     return CheckResult("oracle-equivalence", worst <= TV_TOL, f"max TV = {worst:.3e}", f"TV <= {TV_TOL}")
 

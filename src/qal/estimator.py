@@ -124,11 +124,6 @@ def outcome_laws(inst: ProblemInstance, rows: Sequence[int], m: int, engine: str
     raise ValueError(f"engine must be one of {ENGINE_MODES}, got {engine!r}")
 
 
-def outcome_distribution(inst: ProblemInstance, f: Hypothesis, m: int, engine: str = "analytic") -> np.ndarray:
-    """Phase-register outcome law of class member f: the one-row case of outcome_laws."""
-    return outcome_laws(inst, [inst.row(f)], m, engine=engine)[0]
-
-
 def schedule(inst: ProblemInstance, epsilon: float, delta: float) -> tuple[int, int]:
     """Phase bits m and repetition count of one estimate at (epsilon, delta).
 

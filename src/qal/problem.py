@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -62,13 +63,46 @@ class LossSpec:
     table: dict[str, tuple[tuple[float, ...], ...]] | None = None
 
 
-def _checked_column(name: str, raw, cls: type):
-    """raw, if every entry is a non-bool cls; else ValidationError naming support[j].name."""
-    types = {raw.dtype.type} if isinstance(raw, np.ndarray) and raw.dtype != object else set(map(type, raw))
-    if not all(t is not bool and issubclass(t, cls) for t in types):  # a scan per type, not per point
-        j, v = next((j, v) for j, v in enumerate(raw) if isinstance(v, bool) or not isinstance(v, cls))
-        raise ValidationError(f"support[{j}].{name}: expected {'number' if cls is Real else 'integer'}, got {v!r:.60}")
+# The built-in types come first: they match JSON values without the slower abstract-class check.
+_KINDS = {"object": dict, "array": list, "string": str, "integer": (int, Integral), "number": (float, int, Real)}
+
+
+def expect(value, kind: str, path: str):
+    """value if its type is kind, else ValidationError naming path.
+
+    kind is "object", "array", "string", "integer" (any Integral) or
+    "number" (any Real). A boolean is neither; a number is returned as a float.
+    """
+    if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
+        raise ValidationError(f"{path}: expected {kind}, got {value!r:.60}")
+    if kind != "number":
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{path}: {value!r:.60} is too large for a float") from None
+
+
+def _all_of(items, kind: str) -> bool:
+    """Whether expect accepts every item as kind: a scan per type, not per item."""
+    types = {items.dtype.type} if isinstance(items, np.ndarray) and items.dtype != object else set(map(type, items))
+    return all(t is not bool and issubclass(t, _KINDS[kind]) for t in types)
+
+
+def _checked_items(raw, kind: str, path: str):
+    """raw, if expect accepts every entry as kind; else its ValidationError, naming path.format(j) for entry j."""
+    if not _all_of(raw, kind):
+        for j, v in enumerate(raw):
+            expect(v, kind, path.format(j))
     return raw
+
+
+def _checked_tables(tables: list):
+    """tables, if every entry of each is a number; else ValidationError naming hypotheses[j].table."""
+    if not _all_of(chain.from_iterable(tables), "number"):  # one scan over all entries
+        for j, table in enumerate(tables):
+            _checked_items(table, "number", f"hypotheses[{j}].table")
+    return tables
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,16 +134,16 @@ class ProblemInstance:
     _rows: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.x_size < 1:
-            raise ValidationError(f"x_size: must be >= 1, got {self.x_size}")
-        if self.k < 1:
-            raise ValidationError(f"k: must be >= 1, got {self.k}")
+        for name in ("x_size", "k"):
+            if expect(getattr(self, name), "integer", name) < 1:
+                raise ValidationError(f"{name}: must be >= 1, got {getattr(self, name)}")
         x, y_index, p = np.array(self.x), np.array(self.y_index), np.array(self.probabilities)
         if x.ndim != 1 or not x.shape == y_index.shape == p.shape:
             shapes = f"{x.shape}, {y_index.shape} and {p.shape}"
             raise ValidationError(f"support: x, y_index and probabilities must be 1-D of one length, got {shapes}")
-        for name, raw, cls in (("p", self.probabilities, Real), ("x", self.x, Integral), ("y", self.y_index, Integral)):
-            _checked_column(name, raw, cls)
+        _checked_items(self.probabilities, "number", "support[{}].p")
+        for name, codes in (("x", self.x), ("y", self.y_index)):
+            _checked_items(codes, "integer", f"support[{{}}].{name}")
         p = p.astype(float, copy=False)
         n = len(x)
         if self.k < (n - 1).bit_length():  # 2^k < len(support), without forming 2^k
@@ -123,23 +157,24 @@ class ProblemInstance:
             raise ValidationError(f"support[{bad[0]}].p: must be a finite nonnegative probability, got {p[bad[0]]}")
         if abs((total := float(np.cumsum(p)[-1])) - 1.0) > PROB_SUM_TOL:
             raise ValidationError(f"support[*].p: probabilities sum to {total!r}, expected 1 within {PROB_SUM_TOL}")
+        _checked_items([f.id for f in self.hypotheses], "string", "hypotheses[{}].id")
         rows = {f.id: i for i, f in enumerate(self.hypotheses)}
         if len(rows) != len(self.hypotheses):
             raise ValidationError("hypotheses[*].id: ids must be distinct")
         for j, f in enumerate(self.hypotheses):
             if len(f.table) != self.x_size:
                 raise ValidationError(f"hypotheses[{j}].table: length {len(f.table)} != x_size {self.x_size}")
-        tables = np.array([f.table for f in self.hypotheses], dtype=float)
+        tables = np.array(_checked_tables([f.table for f in self.hypotheses]), dtype=float)
         if (bad := np.flatnonzero(~np.isfinite(tables).all(axis=1))).size:
             raise ValidationError(f"hypotheses[{bad[0]}].table: non-finite value")
         loss = self.loss
         if loss.kind not in LOSS_KINDS:
             raise ValidationError(f"loss.kind: unknown kind {loss.kind!r}")
-        if loss.bound <= 0 or not math.isfinite(loss.bound):
+        if expect(loss.bound, "number", "loss.bound") <= 0 or not math.isfinite(loss.bound):
             raise ValidationError(f"loss.bound: must be a positive finite real, got {loss.bound}")
         if loss.kind == "table" and loss.table is None:
             raise ValidationError("loss.table: required for kind 'table'")
-        if not all(math.isfinite(y) for y in self.y_values):
+        if not all(math.isfinite(y) for y in _checked_items(self.y_values, "number", "y_values[{}]")):
             raise ValidationError("y_values: non-finite value")
         for name, codes, size in (("x", x, self.x_size), ("y", y_index, len(self.y_values))):
             if (bad := np.flatnonzero((codes < 0) | (codes >= size))).size:
@@ -263,6 +298,12 @@ def exact_statistics(inst: ProblemInstance) -> ExactStatistics:
     return ExactStatistics(risks, best_hypothesis(inst))
 
 
+def _renormalized(p: np.ndarray) -> np.ndarray:
+    """p over its left-to-right sum, so sqrt(p) is a unit vector; a sum off 1 by more than PROB_SUM_TOL is kept."""
+    total = np.cumsum(p)[-1] if len(p) else math.nan
+    return p / total if abs(total - 1.0) <= PROB_SUM_TOL else p
+
+
 def make_instance(
     x_size: int,
     y_values: list[float],
@@ -271,40 +312,22 @@ def make_instance(
     hypotheses: list[tuple[str, list[float]]],
     loss: LossSpec,
 ) -> ProblemInstance:
-    """Build an instance from raw parts, renormalizing the masses exactly; the constructor checks every rule."""
-    p = np.array(_checked_column("p", [z[2] for z in support], Real), dtype=float)  # before float() reads "0.3" or True
-    total = np.cumsum(p)[-1] if len(p) else math.nan  # added left to right
-    if abs(total - 1.0) <= PROB_SUM_TOL:  # else the constructor names the bad mass
-        p = p / total  # exactly, so sqrt(p) amplitudes form a unit vector
+    """Build an instance from raw parts, renormalizing the masses exactly; the constructor checks every rule.
+
+    Masses, y values and table entries are type-checked before float() can read "0.3" or True.
+    """
+    p = np.array(_checked_items([z[2] for z in support], "number", "support[{}].p"), dtype=float)
+    _checked_tables([table for _, table in hypotheses])
     return ProblemInstance(
         x_size=x_size,
-        y_values=tuple(float(y) for y in y_values),
+        y_values=tuple(float(y) for y in _checked_items(y_values, "number", "y_values[{}]")),
         k=k,
         x=[z[0] for z in support],
         y_index=[z[1] for z in support],
-        probabilities=p,
-        hypotheses=tuple(Hypothesis(str(hid), tuple(float(v) for v in table)) for hid, table in hypotheses),
+        probabilities=_renormalized(p),
+        hypotheses=tuple(Hypothesis(hid, tuple(float(v) for v in table)) for hid, table in hypotheses),
         loss=loss,
     )
-
-
-_JSON_KINDS = {"object": dict, "array": list, "string": str, "integer": int, "number": (int, float)}
-
-
-def expect(value, kind: str, path: str):
-    """value if its JSON type is kind, else ValidationError naming path.
-
-    kind is "object", "array", "string", "integer" or "number". A boolean
-    is not a number; a number is returned as a float.
-    """
-    if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
-        raise ValidationError(f"{path}: expected {kind}, got {value!r:.60}")
-    if kind != "number":
-        return value
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValidationError(f"{path}: {value!r:.60} is too large for a float") from None
 
 
 def expect_field(obj: dict, key: str, kind: str, path: str = ""):
@@ -378,21 +401,19 @@ def load_instance(path: str | Path) -> ProblemInstance:
     )
 
 
-def save_instance(inst: ProblemInstance, path: str | Path) -> None:
-    """Write an instance back to its JSON file format."""
-    loss_obj: dict = {"kind": inst.loss.kind, "bound": inst.loss.bound}
-    if inst.loss.table is not None:
-        loss_obj["table"] = {h: [list(r) for r in rows] for h, rows in inst.loss.table.items()}
-    points = zip(inst.x.tolist(), inst.y_index.tolist(), inst.probabilities.tolist())
-    obj = {
-        "x_size": inst.x_size,
-        "y_values": list(inst.y_values),
-        "k": inst.k,
-        "support": [{"x": x, "y": y, "p": p} for x, y, p in points],
-        "hypotheses": [{"id": f.id, "table": list(f.table)} for f in inst.hypotheses],
-        "loss": loss_obj,
-    }
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+def check_random_spec(spec: dict, path: str) -> None:
+    """Check random_instance's rules on spec; a ValidationError names path.key, or path for the cap.
+
+    x_size, y_size and h_size are integers >= 1 whose product is at most
+    MAX_LOSS_ENTRIES, and loss_kind, when given, is zero_one or squared.
+    """
+    for key in ("x_size", "y_size", "h_size"):
+        if expect_field(spec, key, "integer", path) < 1:
+            raise ValidationError(f"{path}.{key}: must be >= 1, got {spec[key]}")
+    if (entries := spec["h_size"] * spec["x_size"] * spec["y_size"]) > MAX_LOSS_ENTRIES:
+        raise ValidationError(f"{path}: {entries} loss-matrix entries exceed the cap of {MAX_LOSS_ENTRIES}")
+    if (kind := spec.get("loss_kind", "zero_one")) not in ("zero_one", "squared"):
+        raise ValidationError(f"{path}.loss_kind: must be one of ('zero_one', 'squared'), got {kind!r}")
 
 
 def random_instance(
@@ -409,16 +430,11 @@ def random_instance(
     which uses the same stream words as a draw per entry. squared instances
     use values in [-1, 1] and set the bound to their loss matrix's exact maximum.
     """
-    if min(x_size, y_size, h_size) < 1:
-        raise ValidationError("random_instance: x_size, y_size, h_size must be >= 1")
-    if (entries := h_size * x_size * y_size) > MAX_LOSS_ENTRIES:
-        raise ValidationError(f"random_instance: {entries} loss-matrix entries exceed the cap of {MAX_LOSS_ENTRIES}")
-    if loss_kind not in ("zero_one", "squared"):
-        raise ValidationError(f"random_instance: unsupported loss kind {loss_kind!r}")
+    check_random_spec(dict(x_size=x_size, y_size=y_size, h_size=h_size, loss_kind=loss_kind), "random_instance")
     rng = np.random.default_rng(seed)
     n = x_size * y_size
     probs = rng.uniform(0.05, 1.0, n)
-    probs = probs / probs.sum()
+    probs = _renormalized(probs / probs.sum())  # made exact: that sum is within PROB_SUM_TOL of 1
     k = max(1, math.ceil(math.log2(n)))
 
     if loss_kind == "zero_one":
@@ -433,8 +449,7 @@ def random_instance(
         loss = LossSpec("squared", worst if worst > 0 else 1.0)
     hypotheses = tuple(Hypothesis(f"h{j}", tuple(t)) for j, t in enumerate(tables.astype(float).tolist()))
     x, y_index = np.divmod(np.arange(n), y_size)
-    # make_instance's exact renormalization, without a (x, y, p) triple per point
-    return ProblemInstance(x_size, tuple(y_values), k, x, y_index, probs / np.cumsum(probs)[-1], hypotheses, loss)
+    return ProblemInstance(x_size, tuple(y_values), k, x, y_index, probs, hypotheses, loss)
 
 
 def demo_instance() -> ProblemInstance:

@@ -18,7 +18,7 @@ from qal.bench import (
 )
 from qal.checks import verify
 from qal.cli import main
-from qal.problem import MAX_LOSS_ENTRIES, ValidationError
+from qal.problem import MAX_LOSS_ENTRIES, ValidationError, random_instance
 
 from conftest import json_values, mutate_json
 
@@ -198,6 +198,29 @@ class TestConfigValidation:
         assert main(["bench", "--config", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"x_size": 0}, ".x_size"),
+            ({"y_size": "3"}, ".y_size"),
+            ({"h_size": True}, ".h_size"),
+            ({"x_size": 10**6, "y_size": 10**6}, ""),
+            ({"loss_kind": "table"}, ".loss_kind"),
+        ],
+        ids=["zero-size", "string-size", "bool-size", "over-cap", "table-kind"],
+    )
+    def test_random_rules_have_one_owner(self, repo_root, tmp_path, change, key):
+        # The rules were stated twice: a direct call took True as size 1,
+        # raised a bare TypeError for "3", and named no key.
+        spec = {"seed": 1, "x_size": 3, "y_size": 2, "h_size": 2, **change}
+        with pytest.raises(ValidationError, match=rf"^random_instance{re.escape(key)}: ") as direct:
+            random_instance(**spec)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(demo2_config(repo_root, instance=None, random=spec)))
+        with pytest.raises(ValidationError, match=rf"^random{re.escape(key)}: ") as config:
+            load_bench_config(path)
+        assert str(direct.value).removeprefix("random_instance") == str(config.value).removeprefix("random")
 
     def test_random_spec_checked_on_construction(self):
         with pytest.raises(ValidationError, match=r"random\.h_size"):

@@ -1,5 +1,6 @@
-"""Golden output: the bundled bench configs write fixed CSVs, and
-`qal estimate` and `qal learn` print fixed JSON on instances/demo2.json.
+"""Golden output: the bundled bench configs write fixed CSVs,
+`qal estimate` and `qal learn` print fixed JSON on instances/demo2.json,
+and each benchmark workload's seed-1 trace prints a fixed counts line.
 
 The golden files pin these outputs byte for byte, so a refactor of the
 loss, risk or estimator layers that moves any sample count, success flag,
@@ -11,10 +12,14 @@ trials pick different ones, so a moved draw changes a risk gap there.
 Regenerate a file only for a deliberate change of results, from the
 repository root: `qal bench --config configs/<name>.json --out
 tests/golden/<name>.csv` for a CSV, and for each JSON file the command in
-CLI_GOLDENS with its stdout redirected to the file.
+CLI_GOLDENS with its stdout redirected to the file. trace-counts.txt
+holds, per workload w, "w " and then the `counts` line of
+`python3 benchmark/run.py --workload w --seed 1 --trace 1`.
 """
 import csv
 import dataclasses
+import subprocess
+import sys
 
 import pytest
 
@@ -55,3 +60,17 @@ def test_near_tie_golden_can_see_a_moved_draw(repo_root):
     with open(repo_root / "tests" / "golden" / "near-tie.csv", newline="") as fh:
         gaps = {row["risk_gap"] for row in csv.DictReader(fh) if row["method"] == "quantum"}
     assert len(gaps) >= 2
+
+
+@pytest.mark.parametrize("workload", ["separation-grid", "wide-class", "statevector-circuit"])
+def test_trace_counts_match_golden(workload, repo_root):
+    # The laws and draws each workload builds, and the CSV it writes: a
+    # regrouping that builds more of either, or a moved CSV, changes the
+    # line. The stale zeros (classical.draws, and estimator.state_prep_calls
+    # outside statevector-circuit) are pinned as they are.
+    golden = (repo_root / "tests" / "golden" / "trace-counts.txt").read_text().splitlines()
+    expected = dict(line.split(" ", 1) for line in golden)[workload]
+    cmd = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", "1", "--trace", "1"]
+    proc = subprocess.run(cmd, cwd=repo_root, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert [line for line in proc.stdout.splitlines() if line.startswith("counts ")] == [expected]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import qal.estimator as estimator
 import qal.problem as problem
 from qal.engine import closed_form_ae_distribution, draw_outcome, phase_estimates, simulate_ae_distribution
-from qal.estimator import EstimateResult, estimate_mean, outcome_distribution
+from qal.estimator import EstimateResult, estimate_mean, outcome_laws
 from qal.learner import allocate_budget, argmin_risk_transfer, learn
 from qal.problem import ProblemInstance, exact_statistics, random_instance
 
@@ -180,9 +180,9 @@ class TestBatchStreams:
         result = learn(inst, epsilon=epsilon, delta=0.1, rng=seed, engine=engine)
         m, reps = estimator.schedule(inst, epsilon / 2, 0.1 / h)
         u = np.random.default_rng(seed).random((h, reps))
-        for f, row in zip(inst.hypotheses, u):
+        for i, (f, row) in enumerate(zip(inst.hypotheses, u)):
             r = result.estimates[f.id]
-            ys = inverse_cdf_oracle(outcome_distribution(inst, f, m, engine=engine), row)
+            ys = inverse_cdf_oracle(outcome_laws(inst, [i], m, engine=engine)[0], row)
             assert r.raw_estimates == tuple(math.sin(math.pi * y / 2**m) ** 2 for y in ys)
             assert r.mu_hat == inst.loss.bound * estimator.median(r.raw_estimates)
         mu = [result.estimates[f.id].mu_hat for f in inst.hypotheses]
@@ -216,7 +216,7 @@ class TestBatchStreams:
         f = inst.hypotheses[seed % len(inst.hypotheses)]
         r = estimate_mean(inst, f, 0.05 * inst.loss.bound, 0.05, rng=seed, engine=engine)
         u = np.random.default_rng(seed).random(r.repetitions)
-        ys = inverse_cdf_oracle(outcome_distribution(inst, f, r.m, engine=engine), u)
+        ys = inverse_cdf_oracle(outcome_laws(inst, [inst.row(f)], r.m, engine=engine)[0], u)
         expected = tuple(math.sin(math.pi * y / 2**r.m) ** 2 for y in ys)
         assert r.raw_estimates == expected
         assert r.mu_hat == inst.loss.bound * sorted(expected)[r.repetitions // 2]

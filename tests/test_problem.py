@@ -25,7 +25,6 @@ from qal.problem import (
     make_instance,
     random_instance,
     regression_and_variance,
-    save_instance,
     squared_risk_decomposition,
 )
 from qal.cli import main
@@ -364,14 +363,25 @@ class TestLoading:
                 [("h", [0.0, 1.0])], LossSpec("zero_one", 1.0),
             )
 
-    @pytest.mark.parametrize("j,bad", [(0, "0.3"), (3, True)], ids=["string-mass", "bool-mass"])
-    def test_mass_type_checked_before_conversion(self, j, bad):
-        # Converting to float first parsed "0.3" as a mass and read True as 1.0.
-        masses = [0.3, 0.2, 0.1, 0.4]
-        masses[j] = bad
-        support = [(x, y, p) for (x, y), p in zip([(0, 0), (0, 1), (1, 0), (1, 1)], masses)]
-        with pytest.raises(ValidationError, match=rf"^support\[{j}\]\.p: expected number"):
-            make_instance(2, [0.0, 1.0], 2, support, [("h", [0.0, 1.0])], LossSpec("zero_one", 1.0))
+    @pytest.mark.parametrize(
+        "path, expected, parts",
+        [
+            ("support[0].p", "number", {"support": [(0, 0, "0.3"), (0, 1, 0.2), (1, 0, 0.1), (1, 1, 0.4)]}),
+            ("support[3].p", "number", {"support": [(0, 0, 0.3), (0, 1, 0.2), (1, 0, 0.1), (1, 1, True)]}),
+            ("hypotheses[0].id", "string", {"hypotheses": [(5, [0.0, 1.0])]}),
+            ("hypotheses[1].table", "number", {"hypotheses": [("h", [0.0, 1.0]), ("g", ["0", "1"])]}),
+            ("y_values[0]", "number", {"y_values": ["0", "1"]}),
+            ("y_values[1]", "number", {"y_values": [0.0, True]}),
+        ],
+        ids=["string-mass", "bool-mass", "int-id", "string-table", "string-y-values", "bool-y-value"],
+    )
+    def test_mass_type_checked_before_conversion(self, path, expected, parts):
+        # Converting first parsed "0.3" as a mass, read True as 1.0, and
+        # turned id 5 into "5" and "0" table entries or y values into 0.0.
+        support = [(0, 0, 0.3), (0, 1, 0.2), (1, 0, 0.1), (1, 1, 0.4)]
+        args = dict(x_size=2, y_values=[0.0, 1.0], k=2, support=support, hypotheses=[("h", [0.0, 1.0])])
+        with pytest.raises(ValidationError, match=rf"^{re.escape(path)}: expected {expected}, got "):
+            make_instance(**{**args, **parts}, loss=LossSpec("zero_one", 1.0))
 
     def test_empty_hypothesis_class_rejected(self):
         with pytest.raises(ValidationError, match="hypotheses:"):
@@ -435,17 +445,14 @@ class TestLoading:
         b = random_instance(7, x_size=3, y_size=2, h_size=4)
         assert a == b
 
-    def test_save_load_round_trip(self, tmp_path):
-        inst = random_instance(13, x_size=3, y_size=3, h_size=2, loss_kind="squared")
-        save_instance(inst, tmp_path / "inst.json")
-        assert load_instance(tmp_path / "inst.json") == inst
-
-    def test_new_y_values_round_trip(self, tmp_path):
+    def test_new_y_values_round_trip(self, repo_root, tmp_path):
         # A point's y value once was a stored copy: this instance kept the
         # demo's risks, then reloaded with risks [1, 1, 1, 1].
         inst = dataclasses.replace(demo_instance(), y_values=(5.0, 6.0))
         assert inst.risks.tolist() == [brute_force_risk(inst, f) for f in inst.hypotheses]
-        save_instance(inst, tmp_path / "inst.json")
+        obj = json.loads((repo_root / "instances" / "demo2.json").read_text())
+        obj["y_values"] = [5.0, 6.0]
+        (tmp_path / "inst.json").write_text(json.dumps(obj))
         reloaded = load_instance(tmp_path / "inst.json")
         assert reloaded == inst
         assert reloaded.risks.tolist() == inst.risks.tolist()
@@ -574,6 +581,16 @@ class TestInstanceInvariants:
             ("support[0].p", {"probabilities": (True, 0.0, 0.0, 0.0)}),
             ("support[2].x", {"x": (0, 0, True, 1)}),
             ("support[2].x", {"x": (0, 0, True, True)}),
+            ("k", {"k": 2.5}),
+            ("k", {"k": "2"}),
+            ("x_size", {"x_size": "2"}),
+            ("x_size", {"x_size": True}),
+            ("y_values[0]", {"y_values": ("a", 1.0)}),
+            ("loss.bound", {"loss": LossSpec("zero_one", True)}),
+            ("loss.bound", {"loss": LossSpec("zero_one", "1")}),
+            ("hypotheses[2].table", {"hypotheses": (*DEMO_PAIR, Hypothesis("s", ("0", 1.0)))}),
+            ("hypotheses[0].table", {"hypotheses": (Hypothesis("b", (True, 0.0)),)}),
+            ("hypotheses[1].id", {"hypotheses": (DEMO_PAIR[0], Hypothesis(5, (0.0, 1.0)))}),
         ],
         ids=[
             "k=1", "empty-class", "duplicate-id", "short-table", "nan-table", "inf-table-at-2",
@@ -582,6 +599,8 @@ class TestInstanceInvariants:
             "nan-y-value", "y-code-outside", "x-code-outside", "nan-mass", "negative-mass",
             "masses-sum-0.9", "duplicate-pair", "unequal-lengths", "half-x-code", "bool-x-code",
             "float-y-code", "string-mass", "bool-mass", "bool-among-int-codes", "bool-codes-after-ints",
+            "half-k", "string-k", "string-x-size", "bool-x-size", "string-y-value", "bool-bound", "string-bound",
+            "string-table-entry", "bool-table-entry", "int-id",
         ],
     )
     def test_replace_is_checked(self, path, fields):
