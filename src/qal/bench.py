@@ -19,19 +19,29 @@ from .engine import CapacityError
 from .estimator import ENGINE_MODES, schedule
 from .learner import allocate_budget, learn
 from .problem import (
+    RANDOM_JSON,
     ProblemInstance,
     ValidationError,
     check_random_spec,
     exact_statistics,
-    expect,
-    expect_field,
-    expect_list,
     load_instance,
     random_instance,
     read_json,
 )
 
 METHODS = ("quantum", "classical")
+
+# The JSON format of a bench config, as an expect schema; "instance" is an instance file's path.
+CONFIG_JSON = {
+    "instance?": "string",
+    "random?": RANDOM_JSON,
+    "epsilons": ["number"],
+    "deltas": ["number"],
+    "trials": "integer",
+    "base_seed": "integer",
+    "methods?": ["string"],
+    "engine?": "string",
+}
 
 
 @dataclass(frozen=True)
@@ -68,13 +78,8 @@ class BenchConfig:
             raise ValidationError(f"engine: must be one of {ENGINE_MODES}, got {self.engine!r}")
         if (self.instance_path is None) == (self.random_spec is None):
             raise ValidationError("config: exactly one of 'instance' and 'random' must be given")
-        if self.random_spec is not None:  # the JSON rules here; check_random_spec owns random_instance's
-            spec = expect(self.random_spec, "object", "random")
-            if unknown := sorted(spec.keys() - {"seed", "x_size", "y_size", "h_size", "loss_kind"}):
-                raise ValidationError(f"random.{unknown[0]}: unknown field")
-            if expect_field(spec, "seed", "integer", "random") < 0:
-                raise ValidationError(f"random.seed: must be >= 0, got {spec['seed']}")
-            check_random_spec(spec, "random")
+        if self.random_spec is not None:
+            check_random_spec(self.random_spec, "random")
 
 
 @dataclass(frozen=True)
@@ -98,22 +103,9 @@ CSV_HEADER = ",".join(f.name for f in fields(BenchRow))
 
 
 def load_bench_config(path: str | Path) -> BenchConfig:
-    """Load a grid config; wrong-shaped JSON raises ValidationError naming the field."""
-    obj = read_json(path)
-    known = {"instance", "random", "epsilons", "deltas", "trials", "base_seed", "methods", "engine"}
-    if unknown := sorted(obj.keys() - known):
-        raise ValidationError(f"{unknown[0]}: unknown field")
-    instance = obj.get("instance")
-    return BenchConfig(
-        epsilons=tuple(expect_list(expect_field(obj, "epsilons", "array"), "number", "epsilons")),
-        deltas=tuple(expect_list(expect_field(obj, "deltas", "array"), "number", "deltas")),
-        trials=expect_field(obj, "trials", "integer"),
-        base_seed=expect_field(obj, "base_seed", "integer"),
-        methods=tuple(expect_list(obj.get("methods", list(METHODS)), "string", "methods")),
-        engine=expect(obj.get("engine", "analytic"), "string", "engine"),
-        instance_path=None if instance is None else expect(instance, "string", "instance"),
-        random_spec=obj.get("random"),
-    )
+    """Load a grid config in the CONFIG_JSON format; wrong-shaped JSON raises ValidationError naming the field."""
+    obj = read_json(path, CONFIG_JSON)
+    return BenchConfig(instance_path=obj.pop("instance", None), random_spec=obj.pop("random", None), **obj)
 
 
 def resolve_instance(config: BenchConfig) -> tuple[str, ProblemInstance]:

@@ -49,9 +49,7 @@ def hoeffding_sample_size(bound: float, h_size: int, epsilon: float, delta: floa
     return math.ceil(raw)
 
 
-def draw_iid_samples(
-    inst: ProblemInstance, n: int, rng: np.random.Generator | int | None = None
-) -> np.ndarray:
+def draw_iid_samples(inst: ProblemInstance, n: int, rng: np.random.Generator | int) -> np.ndarray:
     """n independent support-code draws from the instance distribution."""
     if n < 0:
         raise ValueError(f"sample count must be >= 0, got {n}")
@@ -70,7 +68,7 @@ def erm_learn(
     inst: ProblemInstance,
     epsilon: float,
     delta: float,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | int,
 ) -> ClassicalLearnResult:
     """Draw one Hoeffding-sized sample, return the empirical-risk argmin.
 

@@ -23,6 +23,7 @@ from .engine import (
     QUBIT_CAP,
     CapacityError,
     QueryLedger,
+    ae_error_bound,
     closed_form_ae_distribution,
     draw_outcome,
     phase_estimates,
@@ -71,26 +72,20 @@ class BatchEstimate:
         return [EstimateResult(mu, self.m, self.repetitions, self.ledger, tuple(raw)) for mu, raw in per_row]
 
 
-def worst_case_error(m: int) -> float:
-    """Error radius at depth 2^m when nothing is known about the amplitude."""
-    t = 2**m
-    return math.pi / t + math.pi**2 / t**2
-
-
 def phase_bits_for_accuracy(epsilon: float, max_bits: int = QUBIT_CAP - 2) -> int:
-    """Smallest m whose worst-case error radius is at most epsilon.
+    """Smallest m whose worst-case error radius, ae_error_bound(0.5, m), is at most epsilon.
 
-    epsilon is on the rescaled (bound-one) loss scale.
+    epsilon is on the rescaled (bound-one) loss scale; the radius is largest at amplitude 1/2.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"rescaled accuracy must lie in (0, 1), got {epsilon}")
     m = 1
-    while worst_case_error(m) > epsilon:
+    while ae_error_bound(0.5, m) > epsilon:
         m += 1
         if m > max_bits:
             raise CapacityError(
                 f"accuracy {epsilon} needs more than {max_bits} phase bits "
-                f"(worst-case error at m={max_bits} is {worst_case_error(max_bits):.3e})"
+                f"(worst-case error at m={max_bits} is {ae_error_bound(0.5, max_bits):.3e})"
             )
     return m
 
@@ -144,7 +139,7 @@ def estimate_batch(
     rows: Sequence[int],
     epsilon: float,
     delta: float,
-    rng: np.random.Generator | int | None,
+    rng: np.random.Generator | int,
     engine: str = "analytic",
 ) -> BatchEstimate:
     """Estimate the expected loss of class rows (indices into inst.hypotheses) at (epsilon, delta).
@@ -177,7 +172,7 @@ def estimate_mean(
     f: Hypothesis | str,
     epsilon: float,
     delta: float,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | int,
     engine: str = "analytic",
 ) -> EstimateResult:
     """Estimate the expected loss of f to accuracy epsilon, confidence 1 - delta.

@@ -54,7 +54,7 @@ def learn(
     inst: ProblemInstance,
     epsilon: float,
     delta: float,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | int,
     engine: str = "analytic",
 ) -> LearnResult:
     """Estimate every hypothesis risk, return the estimate argmin.

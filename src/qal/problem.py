@@ -64,23 +64,47 @@ class LossSpec:
 
 
 # The built-in types come first: they match JSON values without the slower abstract-class check.
-_KINDS = {"object": dict, "array": list, "string": str, "integer": (int, Integral), "number": (float, int, Real)}
+# "sequence", "Hypothesis" and "LossSpec" are the kinds of the constructor's container fields.
+_KINDS = {"object": dict, "array": list, "string": str, "integer": (int, Integral), "number": (float, int, Real),
+          "sequence": (tuple, list, np.ndarray), "Hypothesis": Hypothesis, "LossSpec": LossSpec}
 
 
-def expect(value, kind: str, path: str):
-    """value if its type is kind, else ValidationError naming path.
+def expect(value, schema, path: str):
+    """value checked against schema; a ValidationError names path, or the path of the part at fault.
 
-    kind is "object", "array", "string", "integer" (any Integral) or
-    "number" (any Real). A boolean is neither; a number is returned as a float.
+    A schema is a kind, [item] for an array of items, {key: schema} for an
+    object of exactly those keys, or {"*": schema} for an object with any
+    keys. A key written "key?" is optional, and an optional key set to null
+    counts as absent. A kind is one of _KINDS: "integer" is any Integral
+    and "number" any Real, but a boolean is neither. A number is returned as
+    a float, an array as a tuple, and an object as a dict of its present keys.
     """
-    if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
-        raise ValidationError(f"{path}: expected {kind}, got {value!r:.60}")
-    if kind != "number":
-        return value
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValidationError(f"{path}: {value!r:.60} is too large for a float") from None
+    if isinstance(schema, str):
+        if isinstance(value, bool) or not isinstance(value, _KINDS[schema]):
+            raise ValidationError(f"{path}: expected {schema}, got {value!r:.60}")
+        if schema != "number":
+            return value
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValidationError(f"{path}: {value!r:.60} is too large for a float") from None
+    if isinstance(schema, list):
+        return tuple([expect(v, schema[0], f"{path}[{i}]") for i, v in enumerate(expect(value, "array", path))])
+    obj, prefix = expect(value, "object", path), f"{path}." if path else ""
+    if "*" in schema:
+        return {key: expect(v, schema["*"], f"{prefix}{key}") for key, v in obj.items()}
+    checked = {}
+    for declared, item in schema.items():
+        key = declared.removesuffix("?")
+        if obj.get(key) is not None or (key == declared and key in obj):
+            checked[key] = expect(obj[key], item, prefix + key)
+        elif key == declared:
+            raise ValidationError(f"{prefix}{key}: missing field")
+    if len(checked) < len(obj):  # an unknown key, or a null optional one
+        for key in obj:
+            if key not in checked and f"{key}?" not in schema:
+                raise ValidationError(f"{prefix}{key}: unknown field")
+    return checked
 
 
 def _all_of(items, kind: str) -> bool:
@@ -97,11 +121,12 @@ def _checked_items(raw, kind: str, path: str):
     return raw
 
 
-def _checked_tables(tables: list):
-    """tables, if every entry of each is a number; else ValidationError naming hypotheses[j].table."""
+def _checked_tables(tables: list, paths):
+    """tables, if every entry of each is a number; else ValidationError naming the path of the first bad table."""
     if not _all_of(chain.from_iterable(tables), "number"):  # one scan over all entries
-        for j, table in enumerate(tables):
-            _checked_items(table, "number", f"hypotheses[{j}].table")
+        for table, path in zip(tables, paths):
+            for v in table:
+                expect(v, "number", path)
     return tables
 
 
@@ -146,28 +171,30 @@ class ProblemInstance:
             _checked_items(codes, "integer", f"support[{{}}].{name}")
         p = p.astype(float, copy=False)
         n = len(x)
+        for name, items in (("support", x), ("hypotheses", self.hypotheses), ("y_values", self.y_values)):
+            if not len(expect(items, "sequence", name)):
+                raise ValidationError(f"{name}: must be nonempty")
         if self.k < (n - 1).bit_length():  # 2^k < len(support), without forming 2^k
             raise ValidationError(f"k: 2^{self.k} = {2**self.k} cannot hold {n} coded support points")
         if (entries := len(self.hypotheses) * n) > MAX_LOSS_ENTRIES:
             raise ValidationError(f"hypotheses: {entries} loss-matrix entries exceed the cap of {MAX_LOSS_ENTRIES}")
-        for name, items in (("support", x), ("hypotheses", self.hypotheses), ("y_values", self.y_values)):
-            if not len(items):
-                raise ValidationError(f"{name}: must be nonempty")
         if (bad := np.flatnonzero(~(np.isfinite(p) & (p >= 0.0)))).size:
             raise ValidationError(f"support[{bad[0]}].p: must be a finite nonnegative probability, got {p[bad[0]]}")
         if abs((total := float(np.cumsum(p)[-1])) - 1.0) > PROB_SUM_TOL:
             raise ValidationError(f"support[*].p: probabilities sum to {total!r}, expected 1 within {PROB_SUM_TOL}")
+        _checked_items(self.hypotheses, "Hypothesis", "hypotheses[{}]")
         _checked_items([f.id for f in self.hypotheses], "string", "hypotheses[{}].id")
         rows = {f.id: i for i, f in enumerate(self.hypotheses)}
         if len(rows) != len(self.hypotheses):
             raise ValidationError("hypotheses[*].id: ids must be distinct")
-        for j, f in enumerate(self.hypotheses):
-            if len(f.table) != self.x_size:
-                raise ValidationError(f"hypotheses[{j}].table: length {len(f.table)} != x_size {self.x_size}")
-        tables = np.array(_checked_tables([f.table for f in self.hypotheses]), dtype=float)
+        tables = _checked_items([f.table for f in self.hypotheses], "sequence", "hypotheses[{}].table")
+        for j, table in enumerate(tables):
+            if len(table) != self.x_size:
+                raise ValidationError(f"hypotheses[{j}].table: length {len(table)} != x_size {self.x_size}")
+        tables = np.array(_checked_tables(tables, (f"hypotheses[{j}].table" for j in range(len(tables)))), dtype=float)
         if (bad := np.flatnonzero(~np.isfinite(tables).all(axis=1))).size:
             raise ValidationError(f"hypotheses[{bad[0]}].table: non-finite value")
-        loss = self.loss
+        loss = expect(self.loss, "LossSpec", "loss")
         if loss.kind not in LOSS_KINDS:
             raise ValidationError(f"loss.kind: unknown kind {loss.kind!r}")
         if expect(loss.bound, "number", "loss.bound") <= 0 or not math.isfinite(loss.bound):
@@ -185,14 +212,16 @@ class ProblemInstance:
             j = np.setdiff1d(np.arange(n), first)[0]
             raise ValidationError(f"support[{j}]: duplicate pair (x={x[j]}, y={y_index[j]})")
         if loss.kind == "table":
-            grids = []
+            grids, by_id = [], expect(loss.table, "object", "loss.table")
             for f in self.hypotheses:
-                grid = loss.table.get(f.id)
+                grid = by_id.get(f.id)
                 if grid is None:
                     raise ValidationError(f"loss.table: no entry for hypothesis {f.id!r}")
                 if len(grid) != self.x_size or any(len(row) != len(self.y_values) for row in grid):
                     raise ValidationError(f"loss.table[{f.id!r}]: must be x_size rows of len(y_values) numbers")
                 grids.append(grid)
+            paths = (f"loss.table[{f.id!r}]" for f in self.hypotheses)
+            _checked_tables([tuple(chain.from_iterable(grid)) for grid in grids], paths)
             losses = np.array(grids, dtype=float)[:, x, y_index]
         else:
             y = np.array(self.y_values, dtype=float)[y_index]
@@ -314,102 +343,70 @@ def make_instance(
 ) -> ProblemInstance:
     """Build an instance from raw parts, renormalizing the masses exactly; the constructor checks every rule.
 
-    Masses, y values and table entries are type-checked before float() can read "0.3" or True.
+    The masses are type-checked before float() can read "0.3" or True.
     """
     p = np.array(_checked_items([z[2] for z in support], "number", "support[{}].p"), dtype=float)
-    _checked_tables([table for _, table in hypotheses])
     return ProblemInstance(
         x_size=x_size,
-        y_values=tuple(float(y) for y in _checked_items(y_values, "number", "y_values[{}]")),
+        y_values=tuple(y_values),
         k=k,
         x=[z[0] for z in support],
         y_index=[z[1] for z in support],
         probabilities=_renormalized(p),
-        hypotheses=tuple(Hypothesis(hid, tuple(float(v) for v in table)) for hid, table in hypotheses),
+        hypotheses=tuple(Hypothesis(hid, tuple(table)) for hid, table in hypotheses),
         loss=loss,
     )
 
 
-def expect_field(obj: dict, key: str, kind: str, path: str = ""):
-    """obj[key] checked by expect; a missing key is a ValidationError too."""
-    name = f"{path}.{key}" if path else key
-    if key not in obj:
-        raise ValidationError(f"{name}: missing field")
-    return expect(obj[key], kind, name)
+# The JSON formats of an instance file and of a random instance's arguments, as expect schemas.
+INSTANCE_JSON = {
+    "x_size": "integer",
+    "y_values": ["number"],
+    "k": "integer",
+    "support": [{"x": "integer", "y": "integer", "p": "number"}],
+    "hypotheses": [{"id": "string", "table": ["number"]}],
+    "loss": {"kind": "string", "bound": "number", "table?": {"*": [["number"]]}},
+}
+RANDOM_JSON = {"seed": "integer", "x_size": "integer", "y_size": "integer", "h_size": "integer", "loss_kind?": "string"}
 
 
-def expect_list(value, kind: str, path: str) -> list:
-    """A JSON array whose items all have JSON type kind."""
-    return [expect(v, kind, f"{path}[{i}]") for i, v in enumerate(expect(value, "array", path))]
-
-
-def read_json(path: str | Path) -> dict:
-    """The JSON object in the file at path; anything else is a ValidationError."""
+def read_json(path: str | Path, schema: dict) -> dict:
+    """The JSON object in the file at path, checked against schema by expect; anything else is a ValidationError."""
     with open(path) as fh:
         try:
             obj = json.load(fh)
         except ValueError as e:  # bad JSON, bad UTF-8, or an integer too long to parse
             raise ValidationError(f"{path}: not valid JSON ({e})") from None
-    return expect(obj, "object", str(path))
-
-
-def _loss_from_json(obj: dict) -> LossSpec:
-    table = None
-    if obj.get("table") is not None:
-        table = {
-            hid: tuple(
-                tuple(expect_list(row, "number", f"loss.table.{hid}[{x}]"))
-                for x, row in enumerate(expect(rows, "array", f"loss.table.{hid}"))
-            )
-            for hid, rows in expect_field(obj, "table", "object", "loss").items()
-        }
-    return LossSpec(
-        kind=expect_field(obj, "kind", "string", "loss"),
-        bound=expect_field(obj, "bound", "number", "loss"),
-        table=table,
-    )
+    return expect(expect(obj, "object", str(path)), schema, "")
 
 
 def load_instance(path: str | Path) -> ProblemInstance:
-    """Load and validate an instance from its JSON file format.
+    """Load and validate an instance from a file in the INSTANCE_JSON format.
 
     JSON of the wrong shape raises ValidationError naming the field.
     """
-    obj = read_json(path)
-    support = []
-    for i, point in enumerate(expect_field(obj, "support", "array")):
-        point = expect(point, "object", f"support[{i}]")
-        support.append(
-            (
-                expect_field(point, "x", "integer", f"support[{i}]"),
-                expect_field(point, "y", "integer", f"support[{i}]"),
-                expect_field(point, "p", "number", f"support[{i}]"),
-            )
-        )
-    hypotheses = []
-    for j, h in enumerate(expect_field(obj, "hypotheses", "array")):
-        h = expect(h, "object", f"hypotheses[{j}]")
-        table = expect_list(expect_field(h, "table", "array", f"hypotheses[{j}]"), "number", f"hypotheses[{j}].table")
-        hypotheses.append((expect_field(h, "id", "string", f"hypotheses[{j}]"), table))
+    obj = read_json(path, INSTANCE_JSON)
     return make_instance(
-        x_size=expect_field(obj, "x_size", "integer"),
-        y_values=expect_list(expect_field(obj, "y_values", "array"), "number", "y_values"),
-        k=expect_field(obj, "k", "integer"),
-        support=support,
-        hypotheses=hypotheses,
-        loss=_loss_from_json(expect_field(obj, "loss", "object")),
+        x_size=obj["x_size"],
+        y_values=obj["y_values"],
+        k=obj["k"],
+        support=[(z["x"], z["y"], z["p"]) for z in obj["support"]],
+        hypotheses=[(h["id"], h["table"]) for h in obj["hypotheses"]],
+        loss=LossSpec(**obj["loss"]),
     )
 
 
 def check_random_spec(spec: dict, path: str) -> None:
-    """Check random_instance's rules on spec; a ValidationError names path.key, or path for the cap.
+    """Check random_instance's arguments as a RANDOM_JSON object; a ValidationError names path.key, or path for the cap.
 
-    x_size, y_size and h_size are integers >= 1 whose product is at most
-    MAX_LOSS_ENTRIES, and loss_kind, when given, is zero_one or squared.
+    seed is an integer >= 0; x_size, y_size and h_size are integers >= 1
+    whose product is at most MAX_LOSS_ENTRIES; loss_kind, when given, is
+    zero_one or squared.
     """
-    for key in ("x_size", "y_size", "h_size"):
-        if expect_field(spec, key, "integer", path) < 1:
-            raise ValidationError(f"{path}.{key}: must be >= 1, got {spec[key]}")
+    spec = expect(spec, RANDOM_JSON, path)
+    for key, least in (("seed", 0), ("x_size", 1), ("y_size", 1), ("h_size", 1)):
+        if spec[key] < least:
+            raise ValidationError(f"{path}.{key}: must be >= {least}, got {spec[key]}")
     if (entries := spec["h_size"] * spec["x_size"] * spec["y_size"]) > MAX_LOSS_ENTRIES:
         raise ValidationError(f"{path}: {entries} loss-matrix entries exceed the cap of {MAX_LOSS_ENTRIES}")
     if (kind := spec.get("loss_kind", "zero_one")) not in ("zero_one", "squared"):
@@ -430,23 +427,24 @@ def random_instance(
     which uses the same stream words as a draw per entry. squared instances
     use values in [-1, 1] and set the bound to their loss matrix's exact maximum.
     """
-    check_random_spec(dict(x_size=x_size, y_size=y_size, h_size=h_size, loss_kind=loss_kind), "random_instance")
+    spec = dict(seed=seed, x_size=x_size, y_size=y_size, h_size=h_size, loss_kind=loss_kind)
+    check_random_spec(spec, "random_instance")
     rng = np.random.default_rng(seed)
     n = x_size * y_size
     probs = rng.uniform(0.05, 1.0, n)
     probs = _renormalized(probs / probs.sum())  # made exact: that sum is within PROB_SUM_TOL of 1
     k = max(1, math.ceil(math.log2(n)))
 
-    if loss_kind == "zero_one":
-        y_values = [float(i) for i in range(y_size)]
-        tables = rng.integers(0, y_size, (h_size, x_size))
-        loss = LossSpec("zero_one", 1.0)
-    else:
+    if loss_kind == "squared":
         y_values = sorted(float(v) for v in rng.uniform(-1.0, 1.0, y_size))
         tables = rng.uniform(-1.0, 1.0, (h_size, x_size))
         # The bound is the largest loss on the full (x, y) grid, which is the support.
         worst = float(((tables[:, :, None] - np.array(y_values)) ** 2).max())
         loss = LossSpec("squared", worst if worst > 0 else 1.0)
+    else:  # zero_one, or None for the default
+        y_values = [float(i) for i in range(y_size)]
+        tables = rng.integers(0, y_size, (h_size, x_size))
+        loss = LossSpec("zero_one", 1.0)
     hypotheses = tuple(Hypothesis(f"h{j}", tuple(t)) for j, t in enumerate(tables.astype(float).tolist()))
     x, y_index = np.divmod(np.arange(n), y_size)
     return ProblemInstance(x_size, tuple(y_values), k, x, y_index, probs, hypotheses, loss)

@@ -207,12 +207,17 @@ class TestConfigValidation:
             ({"h_size": True}, ".h_size"),
             ({"x_size": 10**6, "y_size": 10**6}, ""),
             ({"loss_kind": "table"}, ".loss_kind"),
+            ({"seed": -1}, ".seed"),
+            ({"seed": True}, ".seed"),
+            ({"seed": "1"}, ".seed"),
         ],
-        ids=["zero-size", "string-size", "bool-size", "over-cap", "table-kind"],
+        ids=["zero-size", "string-size", "bool-size", "over-cap", "table-kind", "negative-seed", "bool-seed",
+             "string-seed"],
     )
     def test_random_rules_have_one_owner(self, repo_root, tmp_path, change, key):
         # The rules were stated twice: a direct call took True as size 1,
-        # raised a bare TypeError for "3", and named no key.
+        # raised a bare TypeError for "3", and named no key. It also took
+        # seed True as 1 and left a negative or string seed to numpy.
         spec = {"seed": 1, "x_size": 3, "y_size": 2, "h_size": 2, **change}
         with pytest.raises(ValidationError, match=rf"^random_instance{re.escape(key)}: ") as direct:
             random_instance(**spec)
@@ -221,6 +226,20 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match=rf"^random{re.escape(key)}: ") as config:
             load_bench_config(path)
         assert str(direct.value).removeprefix("random_instance") == str(config.value).removeprefix("random")
+
+    def test_null_optional_keys_read_as_absent(self, repo_root, tmp_path):
+        # A null "methods" or "engine" used to be rejected as a wrong type.
+        path, plain = tmp_path / "config.json", tmp_path / "plain.json"
+        path.write_text(json.dumps(demo2_config(repo_root, methods=None, engine=None, random=None)))
+        plain.write_text(json.dumps(demo2_config(repo_root)))
+        config = load_bench_config(path)
+        assert config == load_bench_config(plain)
+        assert (config.methods, config.engine) == (bench.METHODS, "analytic")
+        spec = {"seed": 5, "x_size": 3, "y_size": 2, "h_size": 4}
+        path.write_text(json.dumps(demo2_config(repo_root, instance=None, random={**spec, "loss_kind": None})))
+        config = load_bench_config(path)
+        assert config.random_spec == spec
+        assert bench.resolve_instance(config)[1] == random_instance(**spec) == random_instance(**spec, loss_kind=None)
 
     def test_random_spec_checked_on_construction(self):
         with pytest.raises(ValidationError, match=r"random\.h_size"):

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qal.engine import CapacityError
+from qal.engine import CapacityError, ae_error_bound
 from qal.estimator import (
     estimate_mean,
     median,
     phase_bits_for_accuracy,
     repetitions_for_confidence,
     schedule,
-    worst_case_error,
 )
 from qal.problem import Hypothesis, ValidationError, random_instance
 from conftest import constant_loss_instance, half_amplitude_instance
@@ -38,8 +37,8 @@ class TestSchedules:
     def test_phase_bits_meet_the_bound_tightly(self):
         for epsilon in (0.3, 0.11, 0.07, 0.004):
             m = phase_bits_for_accuracy(epsilon)
-            assert worst_case_error(m) <= epsilon
-            assert m == 1 or worst_case_error(m - 1) > epsilon
+            assert ae_error_bound(0.5, m) <= epsilon
+            assert m == 1 or ae_error_bound(0.5, m - 1) > epsilon
 
     def test_phase_bits_capacity_error(self):
         with pytest.raises(CapacityError, match="phase bits"):
@@ -181,7 +180,7 @@ class TestEstimateMean:
         inst = random_instance(m, x_size=3, y_size=3, h_size=2, loss_kind=kind)
         f = inst.hypotheses[m % 2]
         # Midway between the worst-case radii at m - 1 and m selects depth m.
-        epsilon = inst.loss.bound * 0.5 * (worst_case_error(m - 1) + worst_case_error(m))
+        epsilon = inst.loss.bound * 0.5 * (ae_error_bound(0.5, m - 1) + ae_error_bound(0.5, m))
         sv = estimate_mean(inst, f, epsilon, delta=0.05, rng=m, engine="statevector")
         an = estimate_mean(inst, f, epsilon, delta=0.05, rng=m, engine="analytic")
         assert sv.m == an.m == m

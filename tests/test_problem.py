@@ -546,6 +546,11 @@ class TestLoading:
 DEMO_PAIR = demo_instance().hypotheses[:2]
 
 
+def demo_table_loss(last_entry):
+    """A table loss for the demo class: every entry 0.0 but the last of each grid."""
+    return LossSpec("table", 1.0, table={h: ((0.0, 0.0), (0.0, last_entry)) for h in demo_instance().ids})
+
+
 class TestInstanceInvariants:
     """Every rule holds however an instance is made."""
 
@@ -591,6 +596,14 @@ class TestInstanceInvariants:
             ("hypotheses[2].table", {"hypotheses": (*DEMO_PAIR, Hypothesis("s", ("0", 1.0)))}),
             ("hypotheses[0].table", {"hypotheses": (Hypothesis("b", (True, 0.0)),)}),
             ("hypotheses[1].id", {"hypotheses": (DEMO_PAIR[0], Hypothesis(5, (0.0, 1.0)))}),
+            ("loss.table['identity']", {"loss": demo_table_loss("0.25")}),
+            ("loss.table['identity']", {"loss": demo_table_loss(True)}),
+            ("hypotheses", {"hypotheses": 5}),
+            ("hypotheses[0]", {"hypotheses": ("identity",)}),
+            ("hypotheses[0].table", {"hypotheses": (Hypothesis("h", 5),)}),
+            ("y_values", {"y_values": 5}),
+            ("loss", {"loss": "zero_one"}),
+            ("loss.table", {"loss": LossSpec("table", 1.0, table=5)}),
         ],
         ids=[
             "k=1", "empty-class", "duplicate-id", "short-table", "nan-table", "inf-table-at-2",
@@ -600,10 +613,13 @@ class TestInstanceInvariants:
             "masses-sum-0.9", "duplicate-pair", "unequal-lengths", "half-x-code", "bool-x-code",
             "float-y-code", "string-mass", "bool-mass", "bool-among-int-codes", "bool-codes-after-ints",
             "half-k", "string-k", "string-x-size", "bool-x-size", "string-y-value", "bool-bound", "string-bound",
-            "string-table-entry", "bool-table-entry", "int-id",
+            "string-table-entry", "bool-table-entry", "int-id", "string-loss-entry", "bool-loss-entry",
+            "int-class", "string-member", "int-table", "int-y-values", "string-loss", "int-loss-table",
         ],
     )
     def test_replace_is_checked(self, path, fields):
+        # A loss-table entry "0.25" or True once read as a number, and each
+        # container shape escaped as a bare TypeError or AttributeError.
         with pytest.raises(ValidationError, match=f"^{re.escape(path)}: "):
             dataclasses.replace(demo_instance(), **fields)
 
@@ -665,6 +681,43 @@ class TestInstanceJsonShape:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValidationError, match=rf"^support\[0\]\.{key}: {value} outside 0\.\.1$"):
                 load_instance(tmp_path / "inst.json")
+
+    @pytest.mark.parametrize(
+        "parent, field",
+        [((), "extra"), (("support", 2), "support[2].extra"), (("hypotheses", 1), "hypotheses[1].extra"),
+         (("loss",), "loss.extra")],
+        ids=["top-level", "support-point", "hypothesis", "loss"],
+    )
+    def test_unknown_field_is_named(self, repo_root, tmp_path, capsys, parent, field):
+        # An instance file used to ignore an unknown key at every level, while a bench config rejected one.
+        obj = demo2_json(repo_root)
+        node = obj
+        for key in parent:
+            node = node[key]
+        node["extra"] = 1
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match=rf"^{re.escape(field)}: unknown field$"):
+            load_instance(inst_path)
+        assert main(["learn", "--instance", str(inst_path), "--epsilon", "0.1", "--delta", "0.1", "--seed", "1"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: unknown field")
+
+    def test_table_loss_file_loads_equal_to_the_built_instance(self, repo_root, tmp_path):
+        built = table_loss_instance((0.3, 0.2, 0.1, 0.4), {"f": [[0.5, 0.0], [0.25, 1.0]]}, bound=1.0)
+        obj = {
+            "x_size": 2,
+            "y_values": [0, 1],
+            "k": 2,
+            "support": [{"x": x, "y": y, "p": p} for x, y, p in support_points(built)],
+            "hypotheses": [{"id": "f", "table": [0, 0]}],
+            "loss": {"kind": "table", "bound": 1, "table": {"f": [[0.5, 0], [0.25, 1]]}},
+        }
+        (tmp_path / "inst.json").write_text(json.dumps(obj))
+        assert load_instance(tmp_path / "inst.json") == built
+        obj["loss"]["table"] = None  # a null optional key is absent
+        (tmp_path / "inst.json").write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match=r"^loss\.table: required for kind 'table'$"):
+            load_instance(tmp_path / "inst.json")
 
     def test_missing_field_is_named(self, repo_root, tmp_path):
         obj = demo2_json(repo_root)
