@@ -22,8 +22,10 @@ from .problem import (
     RANDOM_JSON,
     ProblemInstance,
     ValidationError,
+    _checked_items,
     check_random_spec,
     exact_statistics,
+    expect,
     load_instance,
     random_instance,
     read_json,
@@ -62,23 +64,24 @@ class BenchConfig:
     random_spec: dict | None = None
 
     def __post_init__(self):
-        if not self.epsilons or not self.deltas:
-            raise ValidationError("epsilons/deltas: grids must be nonempty")
         for name, grid in (("epsilons", self.epsilons), ("deltas", self.deltas)):
-            for i, value in enumerate(grid):
+            for i, value in enumerate(_checked_items(tuple(expect(grid, "sequence", name)), "number", name + "[{}]")):
                 if not 0.0 < value < 1.0:
                     raise ValidationError(f"{name}[{i}]: must lie in (0, 1), got {value}")
-        if self.trials < 1:
-            raise ValidationError(f"trials: must be >= 1, got {self.trials}")
-        if self.base_seed < 0:
-            raise ValidationError(f"base_seed: must be >= 0, got {self.base_seed}")
-        if not self.methods or any(m not in METHODS for m in self.methods):
+        if not len(self.epsilons) or not len(self.deltas):
+            raise ValidationError("epsilons/deltas: grids must be nonempty")
+        for name, least in (("trials", 1), ("base_seed", 0)):
+            if expect(getattr(self, name), "integer", name) < least:
+                raise ValidationError(f"{name}: must be >= {least}, got {getattr(self, name)}")
+        if not len(expect(self.methods, "sequence", "methods")) or any(m not in METHODS for m in self.methods):
             raise ValidationError(f"methods: must be a nonempty subset of {METHODS}, got {self.methods}")
         if self.engine not in ENGINE_MODES:
             raise ValidationError(f"engine: must be one of {ENGINE_MODES}, got {self.engine!r}")
         if (self.instance_path is None) == (self.random_spec is None):
             raise ValidationError("config: exactly one of 'instance' and 'random' must be given")
-        if self.random_spec is not None:
+        if self.instance_path is not None:
+            expect(self.instance_path, "string", "instance_path")
+        else:
             check_random_spec(self.random_spec, "random")
 
 

@@ -135,7 +135,8 @@ class ProblemInstance:
     """Joint distribution, hypothesis class, and loss, all finite.
 
     Construction (dataclasses.replace included) copies and freezes the
-    support arrays and raises ValidationError on any broken rule.
+    support arrays, stores y_values and hypotheses as tuples, and raises
+    ValidationError on any broken rule.
     Instances compare by value and are unhashable.
     """
 
@@ -174,6 +175,8 @@ class ProblemInstance:
         for name, items in (("support", x), ("hypotheses", self.hypotheses), ("y_values", self.y_values)):
             if not len(expect(items, "sequence", name)):
                 raise ValidationError(f"{name}: must be nonempty")
+        for name in ("y_values", "hypotheses"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.k < (n - 1).bit_length():  # 2^k < len(support), without forming 2^k
             raise ValidationError(f"k: 2^{self.k} = {2**self.k} cannot hold {n} coded support points")
         if (entries := len(self.hypotheses) * n) > MAX_LOSS_ENTRIES:
@@ -213,14 +216,15 @@ class ProblemInstance:
             raise ValidationError(f"support[{j}]: duplicate pair (x={x[j]}, y={y_index[j]})")
         if loss.kind == "table":
             grids, by_id = [], expect(loss.table, "object", "loss.table")
-            for f in self.hypotheses:
+            paths = [f"loss.table[{f.id!r}]" for f in self.hypotheses]
+            for f, path in zip(self.hypotheses, paths):
                 grid = by_id.get(f.id)
                 if grid is None:
                     raise ValidationError(f"loss.table: no entry for hypothesis {f.id!r}")
-                if len(grid) != self.x_size or any(len(row) != len(self.y_values) for row in grid):
-                    raise ValidationError(f"loss.table[{f.id!r}]: must be x_size rows of len(y_values) numbers")
+                lengths = [len(expect(row, "sequence", path)) for row in expect(grid, "sequence", path)]
+                if lengths != [len(self.y_values)] * self.x_size:
+                    raise ValidationError(f"{path}: must be x_size rows of len(y_values) numbers")
                 grids.append(grid)
-            paths = (f"loss.table[{f.id!r}]" for f in self.hypotheses)
             _checked_tables([tuple(chain.from_iterable(grid)) for grid in grids], paths)
             losses = np.array(grids, dtype=float)[:, x, y_index]
         else:
@@ -333,31 +337,6 @@ def _renormalized(p: np.ndarray) -> np.ndarray:
     return p / total if abs(total - 1.0) <= PROB_SUM_TOL else p
 
 
-def make_instance(
-    x_size: int,
-    y_values: list[float],
-    k: int,
-    support: list[tuple[int, int, float]],
-    hypotheses: list[tuple[str, list[float]]],
-    loss: LossSpec,
-) -> ProblemInstance:
-    """Build an instance from raw parts, renormalizing the masses exactly; the constructor checks every rule.
-
-    The masses are type-checked before float() can read "0.3" or True.
-    """
-    p = np.array(_checked_items([z[2] for z in support], "number", "support[{}].p"), dtype=float)
-    return ProblemInstance(
-        x_size=x_size,
-        y_values=tuple(y_values),
-        k=k,
-        x=[z[0] for z in support],
-        y_index=[z[1] for z in support],
-        probabilities=_renormalized(p),
-        hypotheses=tuple(Hypothesis(hid, tuple(table)) for hid, table in hypotheses),
-        loss=loss,
-    )
-
-
 # The JSON formats of an instance file and of a random instance's arguments, as expect schemas.
 INSTANCE_JSON = {
     "x_size": "integer",
@@ -386,12 +365,14 @@ def load_instance(path: str | Path) -> ProblemInstance:
     JSON of the wrong shape raises ValidationError naming the field.
     """
     obj = read_json(path, INSTANCE_JSON)
-    return make_instance(
+    return ProblemInstance(
         x_size=obj["x_size"],
         y_values=obj["y_values"],
         k=obj["k"],
-        support=[(z["x"], z["y"], z["p"]) for z in obj["support"]],
-        hypotheses=[(h["id"], h["table"]) for h in obj["hypotheses"]],
+        x=[z["x"] for z in obj["support"]],
+        y_index=[z["y"] for z in obj["support"]],
+        probabilities=_renormalized(np.array([z["p"] for z in obj["support"]])),
+        hypotheses=[Hypothesis(h["id"], h["table"]) for h in obj["hypotheses"]],
         loss=LossSpec(**obj["loss"]),
     )
 
@@ -452,16 +433,18 @@ def random_instance(
 
 def demo_instance() -> ProblemInstance:
     """The small two-feature instance used throughout the docs and checks."""
-    return make_instance(
+    return ProblemInstance(
         x_size=2,
-        y_values=[0.0, 1.0],
+        y_values=(0.0, 1.0),
         k=2,
-        support=[(0, 0, 0.3), (0, 1, 0.2), (1, 0, 0.1), (1, 1, 0.4)],
-        hypotheses=[
-            ("identity", [0.0, 1.0]),
-            ("flip", [1.0, 0.0]),
-            ("const0", [0.0, 0.0]),
-            ("const1", [1.0, 1.0]),
-        ],
-        loss=LossSpec(kind="zero_one", bound=1.0),
+        x=(0, 0, 1, 1),
+        y_index=(0, 1, 0, 1),
+        probabilities=(0.3, 0.2, 0.1, 0.4),
+        hypotheses=(
+            Hypothesis("identity", (0.0, 1.0)),
+            Hypothesis("flip", (1.0, 0.0)),
+            Hypothesis("const0", (0.0, 0.0)),
+            Hypothesis("const1", (1.0, 1.0)),
+        ),
+        loss=LossSpec("zero_one", 1.0),
     )

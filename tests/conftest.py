@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from qal.problem import LossSpec, demo_instance, load_instance, make_instance  # noqa: E402
+from qal.problem import Hypothesis, LossSpec, ProblemInstance, demo_instance, load_instance  # noqa: E402
 
 
 def table_loss_instance(probs, values_by_hyp, bound):
@@ -16,12 +16,14 @@ def table_loss_instance(probs, values_by_hyp, bound):
     values_by_hyp maps hypothesis id to a 2x2 nested list indexed (x, y).
     """
     hyp_ids = sorted(values_by_hyp)
-    return make_instance(
+    return ProblemInstance(
         x_size=2,
-        y_values=[0.0, 1.0],
+        y_values=(0.0, 1.0),
         k=2,
-        support=[(0, 0, probs[0]), (0, 1, probs[1]), (1, 0, probs[2]), (1, 1, probs[3])],
-        hypotheses=[(h, [0.0, 0.0]) for h in hyp_ids],
+        x=(0, 0, 1, 1),
+        y_index=(0, 1, 0, 1),
+        probabilities=probs,
+        hypotheses=tuple(Hypothesis(h, (0.0, 0.0)) for h in hyp_ids),
         loss=LossSpec(
             kind="table",
             bound=bound,
@@ -32,24 +34,28 @@ def table_loss_instance(probs, values_by_hyp, bound):
 
 def constant_loss_instance(value, probs=(0.5, 0.5)):
     """Two-point instance whose rescaled loss is `value` everywhere."""
-    return make_instance(
+    return ProblemInstance(
         x_size=2,
-        y_values=[0.0],
+        y_values=(0.0,),
         k=1,
-        support=[(0, 0, probs[0]), (1, 0, probs[1])],
-        hypotheses=[("f", [0.0, 0.0])],
+        x=(0, 1),
+        y_index=(0, 0),
+        probabilities=probs,
+        hypotheses=(Hypothesis("f", (0.0, 0.0)),),
         loss=LossSpec("table", 1.0, table={"f": ((value,), (value,))}),
     )
 
 
 def half_amplitude_instance():
     """Uniform two-point support with losses (0, 1): amplitude exactly 1/2."""
-    return make_instance(
+    return ProblemInstance(
         x_size=2,
-        y_values=[0.0],
+        y_values=(0.0,),
         k=1,
-        support=[(0, 0, 0.5), (1, 0, 0.5)],
-        hypotheses=[("f", [0.0, 0.0])],
+        x=(0, 1),
+        y_index=(0, 0),
+        probabilities=(0.5, 0.5),
+        hypotheses=(Hypothesis("f", (0.0, 0.0)),),
         loss=LossSpec("table", 1.0, table={"f": ((0.0,), (1.0,))}),
     )
 

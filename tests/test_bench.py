@@ -3,6 +3,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,6 +131,29 @@ class TestRunBench:
             small_config(repo_root, epsilons=())
         with pytest.raises(ValidationError, match="methods"):
             small_config(repo_root, methods=("annealer",))
+
+    @pytest.mark.parametrize(
+        "path, overrides",
+        [
+            ("base_seed", {"base_seed": 1.5}),
+            ("trials", {"trials": 2.0}),
+            ("instance_path", {"instance_path": 5}),
+            ("trials", {"trials": "3"}),
+            ("epsilons[0]", {"epsilons": ("0.1",)}),
+            ("trials", {"trials": True}),
+            ("methods", {"methods": 5}),
+            ("deltas[0]", {"deltas": np.array([[0.1, 0.2]])}),
+        ],
+        ids=[
+            "half-seed", "float-trials", "int-path", "string-trials", "string-epsilon", "bool-trials", "int-methods",
+            "2d-deltas",
+        ],
+    )
+    def test_config_checks_its_types(self, repo_root, path, overrides):
+        # A config built directly used to pass these to run_bench, which died
+        # with a bare TypeError at the first trial or ran True as one trial.
+        with pytest.raises(ValidationError, match=rf"^{re.escape(path)}: expected "):
+            small_config(repo_root, **overrides)
 
     def test_load_config_round_trip(self, repo_root, tmp_path):
         path = tmp_path / "config.json"
@@ -476,6 +500,11 @@ class TestCli:
         assert main(["verify", "--quick"]) == 0
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 6
+
+    def test_full_verify_exits_zero(self, capsys):
+        # Only the full run checks ae-interval-mass at m = 5 and 6.
+        assert main(["verify"]) == 0
+        assert capsys.readouterr().out.count("[PASS]") == 6
 
     def test_missing_instance_is_usage_error(self, capsys):
         code = main(

@@ -26,7 +26,7 @@ from qal.engine import (
     simulate_ae_distribution,
     simulate_ae_state,
 )
-from qal.problem import LossSpec, exact_risk, make_instance, random_instance
+from qal.problem import Hypothesis, LossSpec, ProblemInstance, exact_risk, random_instance
 
 from conftest import constant_loss_instance, half_amplitude_instance
 
@@ -70,9 +70,9 @@ class TestPrepareDataState:
         assert np.allclose(np.imag(amps), 0.0)
 
     def test_point_mass_single_amplitude(self):
-        inst = make_instance(
-            x_size=1, y_values=[0.0], k=1, support=[(0, 0, 1.0)],
-            hypotheses=[("f", [0.0])], loss=LossSpec("zero_one", 1.0),
+        inst = ProblemInstance(
+            x_size=1, y_values=(0.0,), k=1, x=(0,), y_index=(0,), probabilities=(1.0,),
+            hypotheses=(Hypothesis("f", (0.0,)),), loss=LossSpec("zero_one", 1.0),
         )
         amps = prepare_data_state(inst)
         assert amps[0] == 1.0
@@ -93,9 +93,9 @@ class TestLossRotation:
         assert np.allclose(np.abs(state[1::2]) ** 2, [0.5, 0.5])
 
     def test_quarter_loss_on_point_mass(self):
-        inst = make_instance(
-            x_size=1, y_values=[0.0], k=1, support=[(0, 0, 1.0)],
-            hypotheses=[("f", [0.0])],
+        inst = ProblemInstance(
+            x_size=1, y_values=(0.0,), k=1, x=(0,), y_index=(0,), probabilities=(1.0,),
+            hypotheses=(Hypothesis("f", (0.0,)),),
             loss=LossSpec("table", 1.0, table={"f": ((0.25,),)}),
         )
         state = loss_encoded_state(inst, inst.hypotheses[0])

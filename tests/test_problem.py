@@ -22,7 +22,6 @@ from qal.problem import (
     exact_risk,
     exact_statistics,
     load_instance,
-    make_instance,
     random_instance,
     regression_and_variance,
     squared_risk_decomposition,
@@ -63,32 +62,32 @@ def random_table_instance(seed, x_size, y_size, h_size):
 
 def one_point_instance(table, y_values, y_index, loss):
     """Instance with a single hypothesis f and all mass on (x=0, y_index)."""
-    return make_instance(len(table), y_values, 1, [(0, y_index, 1.0)], [("f", table)], loss)
+    return ProblemInstance(len(table), y_values, 1, (0,), (y_index,), (1.0,), (Hypothesis("f", table),), loss)
 
 
 class TestLossMatrix:
     def test_zero_one_match(self):
-        inst = one_point_instance([0.0, 1.0], [0.0], 0, LossSpec("zero_one", 1.0))
+        inst = one_point_instance((0.0, 1.0), (0.0,), 0, LossSpec("zero_one", 1.0))
         assert inst.losses.tolist() == [[0.0]]
 
     def test_squared_unit_gap(self):
-        inst = one_point_instance([0.0], [0.0, 1.0], 1, LossSpec("squared", 1.0))
+        inst = one_point_instance((0.0,), (0.0, 1.0), 1, LossSpec("squared", 1.0))
         assert inst.losses.tolist() == [[1.0]]
 
     def test_squared_half_gap(self):
-        inst = one_point_instance([0.5], [0.0, 1.0], 1, LossSpec("squared", 1.0))
+        inst = one_point_instance((0.5,), (0.0, 1.0), 1, LossSpec("squared", 1.0))
         assert inst.losses.tolist() == [[0.25]]
 
     def test_table_missing_hypothesis(self):
         spec = LossSpec("table", 1.0, table={"g": ((0.5,),)})
         with pytest.raises(ValidationError, match="^loss.table: no entry for hypothesis 'f'"):
-            one_point_instance([0.0], [0.0], 0, spec)
+            one_point_instance((0.0,), (0.0,), 0, spec)
 
     def test_partial_table_rejected(self):
         # A table must define the loss on every (x, y) pair, even off the support.
         spec = LossSpec("table", 1.0, table={"f": ((0.5,),)})
         with pytest.raises(ValidationError, match=r"^loss\.table\['f'\]: must be x_size rows"):
-            one_point_instance([0.0, 0.0], [0.0], 0, spec)
+            one_point_instance((0.0, 0.0), (0.0,), 0, spec)
 
 
 class TestExactRisk:
@@ -107,14 +106,7 @@ class TestExactRisk:
         assert inst.risks.tobytes() == np.zeros(2).tobytes()
 
     def test_point_mass_single_term(self):
-        inst = make_instance(
-            x_size=1,
-            y_values=[1.0],
-            k=1,
-            support=[(0, 0, 1.0)],
-            hypotheses=[("f", [0.0])],
-            loss=LossSpec("squared", 1.0),
-        )
+        inst = one_point_instance((0.0,), (1.0,), 0, LossSpec("squared", 1.0))
         assert exact_risk(inst, "f") == 1.0
 
     @pytest.mark.parametrize("seed", range(8))
@@ -229,12 +221,14 @@ class TestBestHypothesis:
 
 class TestRegressionAndVariance:
     def test_uniform_two_point_conditional(self):
-        inst = make_instance(
+        inst = ProblemInstance(
             x_size=1,
-            y_values=[0.0, 1.0],
+            y_values=(0.0, 1.0),
             k=1,
-            support=[(0, 0, 0.5), (0, 1, 0.5)],
-            hypotheses=[("f", [0.0])],
+            x=(0, 0),
+            y_index=(0, 1),
+            probabilities=(0.5, 0.5),
+            hypotheses=(Hypothesis("f", (0.0,)),),
             loss=LossSpec("zero_one", 1.0),
         )
         regression, variance = regression_and_variance(inst)
@@ -253,24 +247,28 @@ class TestRegressionAndVariance:
         assert variance == pytest.approx(0.20, abs=1e-12)
 
     def test_deterministic_labels_no_variance(self):
-        inst = make_instance(
+        inst = ProblemInstance(
             x_size=2,
-            y_values=[0.0, 1.0],
+            y_values=(0.0, 1.0),
             k=1,
-            support=[(0, 0, 0.5), (1, 1, 0.5)],
-            hypotheses=[("g", [0.0, 1.0])],
+            x=(0, 1),
+            y_index=(0, 1),
+            probabilities=(0.5, 0.5),
+            hypotheses=(Hypothesis("g", (0.0, 1.0)),),
             loss=LossSpec("squared", 1.0),
         )
         _, variance = regression_and_variance(inst)
         assert variance == 0.0
 
     def test_zero_marginal_x_omitted_from_map(self):
-        inst = make_instance(
+        inst = ProblemInstance(
             x_size=2,
-            y_values=[0.0, 1.0],
+            y_values=(0.0, 1.0),
             k=1,
-            support=[(0, 0, 0.5), (0, 1, 0.5)],  # x=1 never occurs
-            hypotheses=[("f", [0.0, 0.0])],
+            x=(0, 0),  # x=1 never occurs
+            y_index=(0, 1),
+            probabilities=(0.5, 0.5),
+            hypotheses=(Hypothesis("f", (0.0, 0.0)),),
             loss=LossSpec("zero_one", 1.0),
         )
         regression, _ = regression_and_variance(inst)
@@ -279,39 +277,27 @@ class TestRegressionAndVariance:
 
 class TestSquaredRiskDecomposition:
     def test_demo2_squared_split(self, demo2):
-        inst = make_instance(
-            x_size=2,
-            y_values=[0.0, 1.0],
-            k=2,
-            support=support_points(demo2),
-            hypotheses=[("identity", [0.0, 1.0])],
-            loss=LossSpec("squared", 1.0),
-        )
+        inst = dataclasses.replace(demo2, hypotheses=(demo2.hypothesis("identity"),), loss=LossSpec("squared", 1.0))
         lhs, rhs = squared_risk_decomposition(inst, "identity")
         assert lhs == pytest.approx(0.30, abs=1e-12)
         assert rhs == pytest.approx(0.10 + 0.20, abs=1e-12)
         assert abs(lhs - rhs) <= 1e-12
 
-    def test_regression_hypothesis_leaves_noise_only(self):
-        inst = make_instance(
-            x_size=2,
-            y_values=[0.0, 1.0],
-            k=2,
-            support=[(0, 0, 0.3), (0, 1, 0.2), (1, 0, 0.1), (1, 1, 0.4)],
-            hypotheses=[("fr", [0.4, 0.8])],
-            loss=LossSpec("squared", 1.0),
-        )
+    def test_regression_hypothesis_leaves_noise_only(self, demo2):
+        inst = dataclasses.replace(demo2, hypotheses=(Hypothesis("fr", (0.4, 0.8)),), loss=LossSpec("squared", 1.0))
         lhs, _ = squared_risk_decomposition(inst, "fr")
         _, variance = regression_and_variance(inst)
         assert lhs == pytest.approx(variance, abs=1e-12)
 
     def test_deterministic_exact_fit_is_zero(self):
-        inst = make_instance(
+        inst = ProblemInstance(
             x_size=2,
-            y_values=[0.0, 1.0],
+            y_values=(0.0, 1.0),
             k=1,
-            support=[(0, 0, 0.5), (1, 1, 0.5)],
-            hypotheses=[("g", [0.0, 1.0])],
+            x=(0, 1),
+            y_index=(0, 1),
+            probabilities=(0.5, 0.5),
+            hypotheses=(Hypothesis("g", (0.0, 1.0)),),
             loss=LossSpec("squared", 1.0),
         )
         lhs, rhs = squared_risk_decomposition(inst, "g")
@@ -344,12 +330,14 @@ class TestLoading:
 
     def test_bad_probability_sum_names_field(self):
         with pytest.raises(ValidationError, match=r"^support\[\*\]\.p: probabilities sum to 0\.9, expected 1"):
-            make_instance(
+            ProblemInstance(
                 x_size=1,
-                y_values=[0.0, 1.0],
+                y_values=(0.0, 1.0),
                 k=1,
-                support=[(0, 0, 0.5), (0, 1, 0.4)],
-                hypotheses=[("f", [0.0])],
+                x=(0, 0),
+                y_index=(0, 1),
+                probabilities=(0.5, 0.4),
+                hypotheses=(Hypothesis("f", (0.0,)),),
                 loss=LossSpec("zero_one", 1.0),
             )
 
@@ -358,41 +346,30 @@ class TestLoading:
         # NaN slipped through: both `p < 0` and `abs(total - 1) > tol` are
         # False for it, and every risk came out NaN.
         with pytest.raises(ValidationError, match=r"support\[0\]\.p"):
-            make_instance(
-                2, [0.0, 1.0], 2, [(0, 0, bad), (1, 1, 1.0)],
-                [("h", [0.0, 1.0])], LossSpec("zero_one", 1.0),
+            ProblemInstance(
+                2, (0.0, 1.0), 2, (0, 1), (0, 1), (bad, 1.0),
+                (Hypothesis("h", (0.0, 1.0)),), LossSpec("zero_one", 1.0),
             )
 
-    @pytest.mark.parametrize(
-        "path, expected, parts",
-        [
-            ("support[0].p", "number", {"support": [(0, 0, "0.3"), (0, 1, 0.2), (1, 0, 0.1), (1, 1, 0.4)]}),
-            ("support[3].p", "number", {"support": [(0, 0, 0.3), (0, 1, 0.2), (1, 0, 0.1), (1, 1, True)]}),
-            ("hypotheses[0].id", "string", {"hypotheses": [(5, [0.0, 1.0])]}),
-            ("hypotheses[1].table", "number", {"hypotheses": [("h", [0.0, 1.0]), ("g", ["0", "1"])]}),
-            ("y_values[0]", "number", {"y_values": ["0", "1"]}),
-            ("y_values[1]", "number", {"y_values": [0.0, True]}),
-        ],
-        ids=["string-mass", "bool-mass", "int-id", "string-table", "string-y-values", "bool-y-value"],
-    )
-    def test_mass_type_checked_before_conversion(self, path, expected, parts):
-        # Converting first parsed "0.3" as a mass, read True as 1.0, and
-        # turned id 5 into "5" and "0" table entries or y values into 0.0.
-        support = [(0, 0, 0.3), (0, 1, 0.2), (1, 0, 0.1), (1, 1, 0.4)]
-        args = dict(x_size=2, y_values=[0.0, 1.0], k=2, support=support, hypotheses=[("h", [0.0, 1.0])])
-        with pytest.raises(ValidationError, match=rf"^{re.escape(path)}: expected {expected}, got "):
-            make_instance(**{**args, **parts}, loss=LossSpec("zero_one", 1.0))
+    def test_list_parts_build_the_demo_instance(self, repo_root):
+        # The constructor stores y_values and hypotheses as tuples, so list
+        # parts build an instance equal to the demo, as loaded from its file too.
+        inst = ProblemInstance(
+            x_size=2,
+            y_values=[0.0, 1.0],
+            k=2,
+            x=[0, 0, 1, 1],
+            y_index=[0, 1, 0, 1],
+            probabilities=[0.3, 0.2, 0.1, 0.4],
+            hypotheses=list(demo_instance().hypotheses),
+            loss=LossSpec("zero_one", 1.0),
+        )
+        assert inst == demo_instance() == load_instance(repo_root / "instances" / "demo2.json")
+        assert isinstance(inst.y_values, tuple) and isinstance(inst.hypotheses, tuple)
 
     def test_empty_hypothesis_class_rejected(self):
         with pytest.raises(ValidationError, match="hypotheses:"):
-            make_instance(
-                x_size=1,
-                y_values=[0.0],
-                k=1,
-                support=[(0, 0, 1.0)],
-                hypotheses=[],
-                loss=LossSpec("zero_one", 1.0),
-            )
+            ProblemInstance(1, (0.0,), 1, (0,), (0,), (1.0,), (), LossSpec("zero_one", 1.0))
 
     def test_loss_matrix_beyond_cap_rejected(self, tmp_path, capsys):
         # Such an instance used to build its matrix for minutes, or end in a
@@ -420,23 +397,27 @@ class TestLoading:
 
     def test_duplicate_support_pair_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
-            make_instance(
+            ProblemInstance(
                 x_size=1,
-                y_values=[0.0],
+                y_values=(0.0,),
                 k=1,
-                support=[(0, 0, 0.5), (0, 0, 0.5)],
-                hypotheses=[("f", [0.0])],
+                x=(0, 0),
+                y_index=(0, 0),
+                probabilities=(0.5, 0.5),
+                hypotheses=(Hypothesis("f", (0.0,)),),
                 loss=LossSpec("zero_one", 1.0),
             )
 
     def test_k_too_small_rejected(self):
         with pytest.raises(ValidationError, match="k:"):
-            make_instance(
+            ProblemInstance(
                 x_size=2,
-                y_values=[0.0, 1.0],
+                y_values=(0.0, 1.0),
                 k=1,
-                support=[(0, 0, 0.25), (0, 1, 0.25), (1, 0, 0.25), (1, 1, 0.25)],
-                hypotheses=[("f", [0.0, 0.0])],
+                x=(0, 0, 1, 1),
+                y_index=(0, 1, 0, 1),
+                probabilities=(0.25, 0.25, 0.25, 0.25),
+                hypotheses=(Hypothesis("f", (0.0, 0.0)),),
                 loss=LossSpec("zero_one", 1.0),
             )
 
@@ -515,15 +496,17 @@ class TestLoading:
         with pytest.raises(ValidationError, match=r"^random_instance: .* loss-matrix entries exceed"):
             random_instance(1, 10**6, 10**6, 2)
 
-    def test_probabilities_renormalized_to_unit_vector(self):
-        inst = make_instance(
-            x_size=1,
-            y_values=[0.0, 1.0],
-            k=1,
-            support=[(0, 0, 0.3 + 4e-13), (0, 1, 0.7)],
-            hypotheses=[("f", [0.0])],
-            loss=LossSpec("zero_one", 1.0),
-        )
+    def test_probabilities_renormalized_to_unit_vector(self, tmp_path):
+        obj = {
+            "x_size": 1,
+            "y_values": [0.0, 1.0],
+            "k": 1,
+            "support": [{"x": 0, "y": 0, "p": 0.3 + 4e-13}, {"x": 0, "y": 1, "p": 0.7}],
+            "hypotheses": [{"id": "f", "table": [0.0]}],
+            "loss": {"kind": "zero_one", "bound": 1.0},
+        }
+        (tmp_path / "inst.json").write_text(json.dumps(obj))
+        inst = load_instance(tmp_path / "inst.json")
         assert math.fsum(inst.probabilities) == pytest.approx(1.0, abs=1e-15)
 
     def test_probabilities_are_a_read_only_field(self, demo2):
@@ -544,11 +527,12 @@ class TestLoading:
 
 
 DEMO_PAIR = demo_instance().hypotheses[:2]
+DEMO_IDS = demo_instance().ids
 
 
 def demo_table_loss(last_entry):
     """A table loss for the demo class: every entry 0.0 but the last of each grid."""
-    return LossSpec("table", 1.0, table={h: ((0.0, 0.0), (0.0, last_entry)) for h in demo_instance().ids})
+    return LossSpec("table", 1.0, table={h: ((0.0, 0.0), (0.0, last_entry)) for h in DEMO_IDS})
 
 
 class TestInstanceInvariants:
@@ -604,6 +588,9 @@ class TestInstanceInvariants:
             ("y_values", {"y_values": 5}),
             ("loss", {"loss": "zero_one"}),
             ("loss.table", {"loss": LossSpec("table", 1.0, table=5)}),
+            ("y_values[1]", {"y_values": (0.0, True)}),
+            ("loss.table['identity']", {"loss": LossSpec("table", 1.0, table=dict.fromkeys(DEMO_IDS, 5))}),
+            ("loss.table['identity']", {"loss": LossSpec("table", 1.0, table=dict.fromkeys(DEMO_IDS, (5, 5)))}),
         ],
         ids=[
             "k=1", "empty-class", "duplicate-id", "short-table", "nan-table", "inf-table-at-2",
@@ -615,11 +602,13 @@ class TestInstanceInvariants:
             "half-k", "string-k", "string-x-size", "bool-x-size", "string-y-value", "bool-bound", "string-bound",
             "string-table-entry", "bool-table-entry", "int-id", "string-loss-entry", "bool-loss-entry",
             "int-class", "string-member", "int-table", "int-y-values", "string-loss", "int-loss-table",
+            "bool-y-value", "int-loss-grid", "int-loss-rows",
         ],
     )
     def test_replace_is_checked(self, path, fields):
         # A loss-table entry "0.25" or True once read as a number, and each
-        # container shape escaped as a bare TypeError or AttributeError.
+        # container shape, a loss-table grid or row among them, escaped as a
+        # bare TypeError or AttributeError.
         with pytest.raises(ValidationError, match=f"^{re.escape(path)}: "):
             dataclasses.replace(demo_instance(), **fields)
 
