@@ -9,7 +9,7 @@ Estimates at a common (epsilon, delta) run as one batch over class rows:
 class members with equal loss rows share one outcome law, the repetitions
 are one matrix of uniform deviates, and the medians and raw estimates come
 back as arrays (BatchEstimate); a single estimate is the one-row case.
-Rows are grouped by loss row, and each block of laws is built in one call.
+Laws are built in blocks, and each law maps its rows of the matrix in place.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from .engine import (
     QUBIT_CAP,
     CapacityError,
     QueryLedger,
+    _check_register,
     ae_error_bound,
     closed_form_ae_distribution,
     draw_outcome,
@@ -122,15 +123,16 @@ def outcome_laws(inst: ProblemInstance, rows: Sequence[int], m: int, engine: str
 def schedule(inst: ProblemInstance, epsilon: float, delta: float) -> tuple[int, int]:
     """Phase bits m and repetition count of one estimate at (epsilon, delta).
 
-    epsilon is on the original loss scale. delta is checked first, then
-    epsilon against the loss bound, then the depth against the qubit cap:
-    a ValueError's message starts with the parameter at fault, and a
-    CapacityError means the circuit for epsilon would exceed the cap.
+    epsilon is on the original loss scale. delta is checked first, then epsilon
+    against the loss bound, then the register (one phase bit) and the depth
+    against the qubit cap: a ValueError's message starts with the parameter at
+    fault, and a CapacityError means the circuit for epsilon would exceed the cap.
     """
     reps = repetitions_for_confidence(delta)
     bound = inst.loss.bound
     if not 0.0 < epsilon < bound:
         raise ValueError(f"epsilon must lie in (0, {bound}) on the original loss scale, got {epsilon}")
+    _check_register(inst.k + 1, 1)
     return phase_bits_for_accuracy(epsilon / bound, max_bits=QUBIT_CAP - (inst.k + 1)), reps
 
 
@@ -146,22 +148,21 @@ def estimate_batch(
 
     The repetitions are one matrix of uniform deviates,
     np.random.default_rng(rng).random((len(rows), R)): row i is rows[i]'s,
-    mapped through the inverse CDF of its outcome law. One law is built per
-    distinct loss row (inst.distinct_row), in blocks no larger than the deviates.
+    mapped in place through the inverse CDF of its outcome law. One law is built
+    per distinct loss row (inst.distinct_row), in blocks no larger than the deviates.
     """
     m, reps = schedule(inst, epsilon, delta)
 
-    order = np.argsort(inst.distinct_row[rows], kind="stable")  # law j's rows: order[bounds[j] : bounds[j + 1]]
-    bounds = [0, *(np.flatnonzero(np.diff(inst.distinct_row[rows][order])) + 1).tolist(), len(rows)]
+    law_of = inst.distinct_row[rows]
+    order = np.argsort(law_of, kind="stable")  # law j's rows: order[bounds[j] : bounds[j + 1]]
+    bounds = [0, *(np.flatnonzero(np.diff(law_of[order])) + 1).tolist(), len(rows)]
     firsts = np.take(rows, order[bounds[:-1]])  # each law's first row in batch order
     raw = np.random.default_rng(rng).random((len(rows), reps))
-    grouped = raw[order]
     block = max(1, len(rows) * reps // 2**m)
     for b in range(0, len(firsts), block):
         cdfs = np.cumsum(outcome_laws(inst, firsts[b : b + block], m, engine=engine), axis=1)
         for cdf, lo, hi in zip(cdfs, bounds[b : b + block], bounds[b + 1 : b + block + 1]):
-            grouped[lo:hi] = phase_estimates(m)[draw_outcome(cdf, grouped[lo:hi])]  # uniform deviates -> estimates
-    raw[order] = grouped
+            raw[order[lo:hi]] = phase_estimates(m)[draw_outcome(cdf, raw[order[lo:hi]])]  # deviates -> estimates
     mu_hat = inst.loss.bound * np.partition(raw, reps // 2, axis=1)[:, reps // 2]
     raw.flags.writeable = mu_hat.flags.writeable = False
     return BatchEstimate(m, reps, run_ledger(m, runs=reps), mu_hat, raw)

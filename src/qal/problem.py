@@ -354,7 +354,7 @@ def read_json(path: str | Path, schema: dict) -> dict:
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except ValueError as e:  # bad JSON, bad UTF-8, or an integer too long to parse
+        except (ValueError, RecursionError) as e:  # bad JSON, bad UTF-8, an integer too long, or nesting too deep
             raise ValidationError(f"{path}: not valid JSON ({e})") from None
     return expect(expect(obj, "object", str(path)), schema, "")
 

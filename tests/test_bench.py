@@ -496,6 +496,43 @@ class TestCli:
         assert main([*command, "--instance", instance, "--epsilon", "0.1", "--delta", "0.1", "--seed", "-1"]) == 2
         assert capsys.readouterr().err.startswith("error: --seed: must be >= 0, got -1")
 
+    @pytest.mark.parametrize("where", ["instance", "config", "config-epsilons"])
+    def test_deeply_nested_json_is_usage_error(self, repo_root, tmp_path, capsys, where):
+        # The JSON parser's RecursionError used to escape with a traceback and exit 1.
+        deep = "[" * 100000 + "]" * 100000
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(demo2_config(repo_root, epsilons=None)).replace("null", deep)
+                        if where == "config-epsilons" else deep)
+        if where == "instance":
+            argv = ["learn", "--instance", str(path), "--epsilon", "0.1", "--delta", "0.1", "--seed", "1"]
+        else:
+            argv = ["bench", "--config", str(path), "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not valid JSON") and "Traceback" not in err
+
+    @pytest.mark.parametrize("k", [30, 2000])
+    def test_register_with_no_room_for_a_phase_bit(self, repo_root, tmp_path, capsys, k):
+        # The depth search used to run with max_bits below 1: k = 30 named
+        # "-7 phase bits", and k = 2000 raised ZeroDivisionError.
+        spec = json.loads((repo_root / "instances" / "demo2.json").read_text())
+        instance = tmp_path / "wide.json"
+        instance.write_text(json.dumps({**spec, "k": k}))
+        cap = f"{k + 2} qubits ({k + 1} system, m=1) exceed the cap of 24"
+        argv = ["estimate", "--instance", str(instance), "--hypothesis", "identity", "--epsilon", "0.1",
+                "--delta", "0.1", "--seed", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cap}\n" and "Traceback" not in err
+        # A bench cell over the cap is a failed row with the cap as its reason; classical cells still run.
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(demo2_config(repo_root, instance=str(instance), methods=["quantum", "classical"])))
+        out = tmp_path / "r.csv"
+        assert main(["bench", "--config", str(config), "--out", str(out)]) == 0
+        quantum, classical = out.read_text().splitlines()[1:]
+        assert quantum == f"wide,quantum,0.10000000000000001,0.10000000000000001,0,0,0,nan,{cap}"
+        assert classical.endswith(",1,0,")
+
     def test_verify_quick_exits_zero(self, capsys):
         assert main(["verify", "--quick"]) == 0
         out = capsys.readouterr().out

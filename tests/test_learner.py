@@ -1,5 +1,6 @@
 """Learner tests: budget split, argmin selection, batch streams, deterministic reduction."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -311,6 +312,19 @@ class TestBatchStreams:
         one_by_one = [estimate_mean(inst, f, eps_h, delta_h, rng=g).mu_hat for f in inst.hypotheses]
         assert batch.mu_hat.tolist() == one_by_one
         assert result.chosen_id == inst.hypotheses[one_by_one.index(min(one_by_one))].id
+
+    def test_learn_working_set_is_about_two_deviate_matrices(self):
+        # learn holds the deviate matrix and the median's partition copy of it;
+        # a grouped copy of the matrix would make the peak three matrices.
+        inst = random_instance(1, 2, 2, 2**12)
+        learn(inst, 0.1, 0.1, rng=0)  # warm-up: caches and first-call allocations
+        tracemalloc.start()
+        try:
+            result = learn(inst, 0.1, 0.1, rng=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * result.batch.raw.nbytes
 
     def test_batch_is_read_only(self, demo2):
         batch = estimator.estimate_batch(demo2, [2, 0], 0.05, 0.05, rng=0)
