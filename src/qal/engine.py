@@ -13,13 +13,13 @@ phase register y maps to the estimate a_hat = sin^2(pi y / 2^m). The
 circuit runs on any prepared state whose last qubit is the loss ancilla,
 so registers above the data (garbage, in the self-checks) ride along.
 
-`circuit_state` builds phase row y = Q^y psi one of two ways, picked by
-one size rule on the state dimension dim. Up to DOUBLING_DIM_MAX it forms
-Q as a dense matrix and doubles: phase bit j fills rows [2^j, 2^(j+1))
-with one matrix product by Q^(2^j), m steps at a cost of 2^m * dim^2 +
-(m - 1) * dim^3. Wider states apply one iterate per row, 2^m steps at a
-cost of 2^m * dim, where the dense products cost more than the Python
-steps they save.
+`circuit_state` builds phase row y = Q^y psi in one buffer, one of two
+ways by a size rule on the state dimension dim. Up to DOUBLING_DIM_MAX it
+forms Q densely and doubles: phase bit j fills rows [2^j, 2^(j+1)) with
+one product by Q^(2^j), m steps at a cost of 2^m * dim^2 + (m - 1) * dim^3.
+Wider states reflect each row from the last about a sign frame (psi or
+Z psi by parity), 2^m steps at a cost of 2^m * dim. The inverse Fourier
+transform runs in place on that buffer, and the law squares |z| in place.
 
 `closed_form_ae_distribution` gives the same outcome law analytically:
 the prepared state splits evenly between two conjugate eigenvectors of
@@ -114,13 +114,13 @@ def marked_probability(state: np.ndarray) -> float:
 
 
 def _apply_projector_reflection(v: np.ndarray) -> None:
-    """Sign flip on ancilla-one basis states, in place."""
-    v[1::2] *= -1.0
+    """Sign flip on ancilla-one basis states (the last axis), in place."""
+    v[..., 1::2] *= -1.0
 
 
-def _apply_state_reflection(v: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Reflect v about psi: v -> 2 <psi|v> psi - v."""
-    return 2.0 * np.vdot(psi, v) * psi - v
+def _apply_state_reflection(v: np.ndarray, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Reflect v about psi: v -> 2 <psi|v> psi - v, into out if given."""
+    return np.subtract(2.0 * np.vdot(psi, v) * psi, v, out=out)
 
 
 def circuit_state(psi: np.ndarray, m: int) -> np.ndarray:
@@ -131,15 +131,17 @@ def circuit_state(psi: np.ndarray, m: int) -> np.ndarray:
     not one, raises ValueError before any state is allocated. The returned
     array has shape (2^m, psi.size): phase register value by system basis
     state. After the Hadamards and the controlled powers Q^(2^j), row y is
-    exactly Q^y psi / sqrt(2^m). One size rule on dim = psi.size picks how
-    the rows are built:
+    exactly Q^y psi / sqrt(2^m); Q = S Z, Z the sign flip on ancilla-one
+    states and S the reflection about psi. The inverse Fourier transform
+    runs in place. One size rule on dim = psi.size picks how rows are built:
 
-    - dim <= DOUBLING_DIM_MAX: Q is built once as a dense matrix, and phase
-      bit j fills rows [2^j, 2^(j+1)) with one product of rows [0, 2^j)
-      and Q^(2^j), which is then squared. That is m steps at a cost of
-      2^m * dim^2 + (m - 1) * dim^3.
-    - wider states: the rows are built in order, one iterate each: 2^m
-      steps at a cost of 2^m * dim, cheaper there than the dense products.
+    - dim <= DOUBLING_DIM_MAX: Q^T = 2 outer(conj(Z psi), psi) - diag(Z) is
+      built once, and phase bit j fills rows [2^j, 2^(j+1)) with one product
+      of rows [0, 2^j) and Q^(2^j), which is then squared. That is m steps
+      at a cost of 2^m * dim^2 + (m - 1) * dim^3.
+    - wider states: row y - 1 reflected about the sign frame Z^y psi (psi
+      or Z psi) is Z^y Q^y psi, written into row y; one flip of the odd rows
+      then gives Q^y psi. That is 2^m steps at a cost of 2^m * dim.
     """
     if psi.ndim != 1 or psi.size < 2 or psi.size & (psi.size - 1):
         raise ValueError(f"psi must be a vector whose size is a power of two >= 2, got shape {psi.shape}")
@@ -150,24 +152,22 @@ def circuit_state(psi: np.ndarray, m: int) -> np.ndarray:
     t = 2**m
     state = np.empty((t, psi.size), dtype=complex)
     state[0] = psi / math.sqrt(t)  # Hadamards on the phase register
+    frames = (psi, psi.copy())  # Z^y psi for even and odd y
+    _apply_projector_reflection(frames[1])
     if psi.size <= DOUBLING_DIM_MAX:
-        q_t = np.eye(psi.size, dtype=complex)
-        for row in q_t:  # row i becomes Q e_i, so q_t holds Q transposed
-            _apply_projector_reflection(row)
-            row[:] = _apply_state_reflection(row, psi)
+        z = np.eye(psi.size)
+        _apply_projector_reflection(z)  # z = diag(Z)
+        q_t = 2.0 * np.outer(frames[1].conj(), psi) - z  # row i is Q e_i, so q_t holds Q transposed
         for j in range(m):
             np.matmul(state[: 2**j], q_t, out=state[2**j : 2 ** (j + 1)])
             if j + 1 < m:
                 q_t = q_t @ q_t
     else:
-        row = state[0].copy()
-        for y in range(1, t):
-            _apply_projector_reflection(row)
-            row = _apply_state_reflection(row, psi)
-            state[y] = row
+        for y in range(1, t):  # row y holds Z^y Q^y psi / sqrt(t)
+            _apply_state_reflection(state[y - 1], frames[y % 2], out=state[y])
+        _apply_projector_reflection(state[1::2])  # odd rows back to Q^y psi
     _check_norm(state)
-    # Inverse Fourier transform on the phase axis (exact unitary).
-    state = np.fft.fft(state, axis=0, norm="ortho")
+    np.fft.fft(state, axis=0, norm="ortho", out=state)  # inverse Fourier transform on the phase axis, in place
     _check_norm(state)
     return state
 
@@ -180,7 +180,8 @@ def simulate_ae_state(inst: ProblemInstance, f: Hypothesis, m: int) -> np.ndarra
 
 def simulate_ae_distribution(inst: ProblemInstance, f: Hypothesis, m: int) -> np.ndarray:
     """Exact probabilities of each phase-register outcome y."""
-    return np.sum(np.abs(simulate_ae_state(inst, f, m)) ** 2, axis=1)
+    mag = np.abs(simulate_ae_state(inst, f, m))
+    return np.square(mag, out=mag).sum(axis=1)  # beside the state, only |z| as one half-size array
 
 
 def draw_outcome(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:

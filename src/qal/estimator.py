@@ -31,7 +31,7 @@ from .engine import (
     run_ledger,
     simulate_ae_distribution,
 )
-from .problem import Hypothesis, ProblemInstance, exact_risk  # noqa: F401  (benchmark/run.py traces exact_risk here)
+from .problem import Hypothesis, ProblemInstance, ValidationError, exact_risk  # noqa: F401  (benchmark/run.py traces exact_risk here)
 
 ENGINE_MODES = ("statevector", "analytic")
 
@@ -151,6 +151,9 @@ def estimate_batch(
     mapped in place through the inverse CDF of its outcome law. One law is built
     per distinct loss row (inst.distinct_row), in blocks no larger than the deviates.
     """
+    idx = np.asarray(rows)
+    if idx.ndim != 1 or not idx.size or idx.dtype.kind not in "iu" or not 0 <= idx.min() <= idx.max() < len(inst.hypotheses):
+        raise ValidationError(f"rows: must be a nonempty list of class rows in 0..{len(inst.hypotheses) - 1}, got {rows!r:.60}")
     m, reps = schedule(inst, epsilon, delta)
 
     law_of = inst.distinct_row[rows]

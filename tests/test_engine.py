@@ -1,5 +1,6 @@
 """State-engine tests: preparation, loss rotation, phase estimation, laws."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,45 @@ def literal_circuit_state(psi, m):
             block = 2.0 * (block @ psi.conj())[:, None] * psi[None, :] - block
         state[rows] = block
     return np.fft.fft(state, axis=0, norm="ortho")
+
+
+def reflection_circuit_state(psi, m):
+    """Reference: circuit_state's rows built one reflection at a time.
+
+    Each iterate is the sign flip on the marked branch, then the reflection
+    about psi, on a fresh vector: on the columns of the identity for the
+    dense Q (doubling path), on row y - 1 for row y (wide path). The
+    transform runs out of place. circuit_state must match it bit for bit.
+    """
+
+    def iterate(v):
+        v = v.copy()
+        v[1::2] *= -1.0
+        return 2.0 * np.vdot(psi, v) * psi - v
+
+    t = 2**m
+    state = np.empty((t, psi.size), dtype=complex)
+    state[0] = psi / math.sqrt(t)
+    if psi.size <= engine.DOUBLING_DIM_MAX:
+        q_t = np.array([iterate(e) for e in np.eye(psi.size, dtype=complex)])
+        for j in range(m):
+            state[2**j : 2 ** (j + 1)] = state[: 2**j] @ q_t
+            q_t = q_t @ q_t
+    else:
+        for y in range(1, t):
+            state[y] = iterate(state[y - 1])
+    return np.fft.fft(state, axis=0, norm="ortho")
+
+
+def alloc_peak(call, *args):
+    """tracemalloc peak, in bytes, of one call(*args) after a warm-up call."""
+    call(*args)  # the warm-up fills numpy's FFT plan cache
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestPrepareDataState:
@@ -215,10 +255,56 @@ class TestPhaseEstimation:
             dims.append(psi.size)
         assert dims[0] <= engine.DOUBLING_DIM_MAX < dims[1]
 
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_rows_equal_the_reflection_loop_bit_for_bit(self, m):
+        # The sign frames, the dense iterate expression and the in-place
+        # transform change no bit: dims 2..64 double, 128 and 256 (garbage)
+        # take the row loop.
+        rng = np.random.default_rng(m)
+        for dim in (2, 4, 8, 16, 32, 64):
+            psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            psi /= np.linalg.norm(psi)
+            assert dim <= engine.DOUBLING_DIM_MAX
+            assert np.array_equal(circuit_state(psi, m), reflection_circuit_state(psi, m))
+        inst = random_instance(m, x_size=8, y_size=8, h_size=2, loss_kind=["zero_one", "squared"][m % 2])
+        psi = loss_encoded_state(inst, inst.hypotheses[m % 2])
+        for wide in (psi, with_garbage(psi, m)):
+            assert wide.size > engine.DOUBLING_DIM_MAX
+            assert np.array_equal(circuit_state(wide, m), reflection_circuit_state(wide, m))
+
     def test_register_over_the_cap_rejected(self, demo2):
         # One qubit over the cap: raised before any state is allocated.
         with pytest.raises(CapacityError, match="cap"):
             simulate_ae_distribution(demo2, demo2.hypothesis("identity"), m=QUBIT_CAP - demo2.k)
+
+
+class TestWorkingSet:
+    """The circuit holds one state: rows, transform and law share its buffer.
+
+    An out-of-place transform or law reads 2.0 states. The bounds leave room
+    for numpy's fixed ufunc buffers (256 KiB for a strided complex operand),
+    an eighth of the wide state below.
+    """
+
+    SHAPES = [("doubling", 2, 12), ("row-loop", 8, 10)]  # dim 8 at m = 12, dim 128 at m = 10
+
+    @staticmethod
+    def instance(path, size, m):
+        inst = random_instance(1, x_size=size, y_size=size, h_size=2)
+        psi = loss_encoded_state(inst, inst.hypotheses[0])
+        assert (psi.size <= engine.DOUBLING_DIM_MAX) == (path == "doubling")
+        return inst, psi, 2**m * psi.size * np.dtype(complex).itemsize
+
+    @pytest.mark.parametrize("path,size,m", SHAPES)
+    def test_circuit_state_peak(self, path, size, m):
+        _, psi, state_bytes = self.instance(path, size, m)
+        assert alloc_peak(circuit_state, psi, m) <= 1.25 * state_bytes
+
+    @pytest.mark.parametrize("path,size,m", SHAPES)
+    def test_outcome_law_peak(self, path, size, m):
+        # Beside the state, only |z|: one half-size real array, squared in place.
+        inst, _, state_bytes = self.instance(path, size, m)
+        assert alloc_peak(simulate_ae_distribution, inst, inst.hypotheses[0], m) <= 1.6 * state_bytes
 
 
 class TestClosedFormLaw:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qal.engine import CapacityError, ae_error_bound
 from qal.estimator import (
+    estimate_batch,
     estimate_mean,
     median,
     phase_bits_for_accuracy,
@@ -202,6 +203,13 @@ class TestEstimateMean:
             estimate_mean(demo2, impostor, 0.2, 0.2, rng=0)
         by_id = estimate_mean(demo2, "identity", 0.2, 0.2, rng=0)
         assert by_id == estimate_mean(demo2, demo2.hypothesis("identity"), 0.2, 0.2, rng=0)
+
+    @pytest.mark.parametrize("rows", [[], [0, 4], [-1]], ids=["empty", "past-the-class", "negative"])
+    def test_batch_rejects_rows_outside_the_class(self, demo2, rows):
+        # Checked before any deviate is drawn: no bare IndexError, and -1
+        # does not stand for the last member.
+        with pytest.raises(ValidationError, match=r"^rows: .*0\.\.3"):
+            estimate_batch(demo2, rows, 0.2, 0.2, rng=0)
 
     def test_epsilon_must_stay_below_bound(self, demo2):
         with pytest.raises(ValueError, match="epsilon"):
