@@ -279,11 +279,11 @@ class TestPhaseEstimation:
 
 
 class TestWorkingSet:
-    """The circuit holds one state: rows, transform and law share its buffer.
+    """The circuit holds one state: its rows and transform share one buffer.
 
-    An out-of-place transform or law reads 2.0 states. The bounds leave room
-    for numpy's fixed ufunc buffers (256 KiB for a strided complex operand),
-    an eighth of the wide state below.
+    An out-of-place transform reads 2.0 states. The bounds leave room for
+    numpy's fixed ufunc buffers (256 KiB for a strided complex operand), an
+    eighth of the wide state below.
     """
 
     SHAPES = [("doubling", 2, 12), ("row-loop", 8, 10)]  # dim 8 at m = 12, dim 128 at m = 10
