@@ -16,6 +16,7 @@ from .engine import (
     loss_encoded_state,
     marked_probability,
     phase_estimates,
+    phase_law,
     simulate_ae_distribution,
 )
 from .estimator import outcome_laws
@@ -148,8 +149,7 @@ def check_garbage_invariance(n_instances: int, seed: int) -> CheckResult:
         f = inst.hypotheses[0]
         m = int(rng.integers(2, 5))
         plain = simulate_ae_distribution(inst, f, m)
-        garbled_state = circuit_state(with_garbage(loss_encoded_state(inst, f), rng), m)
-        garbled = np.sum(np.abs(garbled_state) ** 2, axis=1)
+        garbled = phase_law(circuit_state(with_garbage(loss_encoded_state(inst, f), rng), m))
         worst = max(worst, _tv(plain, garbled))
     return CheckResult("garbage-invariance", worst <= TV_TOL, f"max TV = {worst:.3e}", f"TV <= {TV_TOL}")
 

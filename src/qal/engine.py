@@ -13,13 +13,11 @@ phase register y maps to the estimate a_hat = sin^2(pi y / 2^m). The
 circuit runs on any prepared state whose last qubit is the loss ancilla,
 so registers above the data (garbage, in the self-checks) ride along.
 
-`circuit_state` builds phase row y = Q^y psi in one buffer, one of two
-ways by a size rule on the state dimension dim. Up to DOUBLING_DIM_MAX it
-forms Q densely and doubles: phase bit j fills rows [2^j, 2^(j+1)) with
-one product by Q^(2^j), m steps at a cost of 2^m * dim^2 + (m - 1) * dim^3.
-Wider states reflect each row from the last about a sign frame (psi or
-Z psi by parity), 2^m steps at a cost of 2^m * dim. The inverse Fourier
-transform runs in place on that buffer, and the law squares |z| in place.
+`circuit_state` builds phase row y = Q^y psi in one buffer by doubling,
+as the controlled powers do; for j >= 1, Q^(2^j) is the identity plus a
+2x2 core on psi's unmarked and marked parts, so the rows cost about
+4 * 2^m * dim for every dim. The inverse Fourier transform runs in place
+on that buffer, and `phase_law` squares |z| in place.
 
 `closed_form_ae_distribution` gives the same outcome law analytically:
 the prepared state splits evenly between two conjugate eigenvectors of
@@ -40,7 +38,6 @@ from .problem import Hypothesis, ProblemInstance
 
 QUBIT_CAP = 24  # the full statevector of the register must fit in memory
 NORM_TOL = 1e-10
-DOUBLING_DIM_MAX = 64  # widest state circuit_state doubles; measured crossover
 
 
 class CapacityError(RuntimeError):
@@ -118,11 +115,6 @@ def _apply_projector_reflection(v: np.ndarray) -> None:
     v[..., 1::2] *= -1.0
 
 
-def _apply_state_reflection(v: np.ndarray, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Reflect v about psi: v -> 2 <psi|v> psi - v, into out if given."""
-    return np.subtract(2.0 * np.vdot(psi, v) * psi, v, out=out)
-
-
 def circuit_state(psi: np.ndarray, m: int) -> np.ndarray:
     """Run the phase-estimation circuit on psi; return the pre-measurement state.
 
@@ -133,15 +125,15 @@ def circuit_state(psi: np.ndarray, m: int) -> np.ndarray:
     state. After the Hadamards and the controlled powers Q^(2^j), row y is
     exactly Q^y psi / sqrt(2^m); Q = S Z, Z the sign flip on ancilla-one
     states and S the reflection about psi. The inverse Fourier transform
-    runs in place. One size rule on dim = psi.size picks how rows are built:
+    runs in place.
 
-    - dim <= DOUBLING_DIM_MAX: Q^T = 2 outer(conj(Z psi), psi) - diag(Z) is
-      built once, and phase bit j fills rows [2^j, 2^(j+1)) with one product
-      of rows [0, 2^j) and Q^(2^j), which is then squared. That is m steps
-      at a cost of 2^m * dim^2 + (m - 1) * dim^3.
-    - wider states: row y - 1 reflected about the sign frame Z^y psi (psi
-      or Z psi) is Z^y Q^y psi, written into row y; one flip of the odd rows
-      then gives Q^y psi. That is 2^m steps at a cost of 2^m * dim.
+    Row 1 is Q psi. Q rotates the plane of the parts P = ((psi + Z psi) / 2,
+    (psi - Z psi) / 2) and is -Z off it: Z P = F P with F = diag(1, -1), and
+    Q = -Z + P^T N_0 conj(P), N_0 = [[2, -2], [2, -2]]. As Z^2 = I, Q^(2^j) =
+    I + P^T N_j conj(P) for j >= 1, with N_1 = N_0 G N_0 - F N_0 - N_0 F,
+    N_(j+1) = 2 N_j + N_j G N_j and G = conj(P) P^T: phase bit j adds rows
+    [0, 2^j) times P^H N_j^T P to a copy of them. Unlike (psi, Z psi), the
+    parts stay orthogonal as the marked mass nears 0 or 1.
     """
     if psi.ndim != 1 or psi.size < 2 or psi.size & (psi.size - 1):
         raise ValueError(f"psi must be a vector whose size is a power of two >= 2, got shape {psi.shape}")
@@ -152,20 +144,18 @@ def circuit_state(psi: np.ndarray, m: int) -> np.ndarray:
     t = 2**m
     state = np.empty((t, psi.size), dtype=complex)
     state[0] = psi / math.sqrt(t)  # Hadamards on the phase register
-    frames = (psi, psi.copy())  # Z^y psi for even and odd y
-    _apply_projector_reflection(frames[1])
-    if psi.size <= DOUBLING_DIM_MAX:
-        z = np.eye(psi.size)
-        _apply_projector_reflection(z)  # z = diag(Z)
-        q_t = 2.0 * np.outer(frames[1].conj(), psi) - z  # row i is Q e_i, so q_t holds Q transposed
-        for j in range(m):
-            np.matmul(state[: 2**j], q_t, out=state[2**j : 2 ** (j + 1)])
-            if j + 1 < m:
-                q_t = q_t @ q_t
-    else:
-        for y in range(1, t):  # row y holds Z^y Q^y psi / sqrt(t)
-            _apply_state_reflection(state[y - 1], frames[y % 2], out=state[y])
-        _apply_projector_reflection(state[1::2])  # odd rows back to Q^y psi
+    z_psi = psi.copy()
+    _apply_projector_reflection(z_psi)
+    state[1] = (2.0 * np.vdot(psi, z_psi) * psi - z_psi) / math.sqrt(t)
+    parts = np.array([psi + z_psi, psi - z_psi]) / 2.0  # unmarked and marked parts
+    parts_h = parts.conj().T
+    gram = parts.conj() @ parts.T
+    n_0 = np.array([[2.0, -2.0], [2.0, -2.0]])
+    core = n_0 @ gram @ n_0 - 4.0 * np.eye(2)  # N_1, since F N_0 + N_0 F = 4 I
+    for j in range(1, m):
+        np.matmul(state[: 2**j] @ (parts_h @ core.T), parts, out=state[2**j : 2 ** (j + 1)])
+        state[2**j : 2 ** (j + 1)] += state[: 2**j]
+        core = 2.0 * core + core @ gram @ core
     _check_norm(state)
     np.fft.fft(state, axis=0, norm="ortho", out=state)  # inverse Fourier transform on the phase axis, in place
     _check_norm(state)
@@ -178,10 +168,15 @@ def simulate_ae_state(inst: ProblemInstance, f: Hypothesis, m: int) -> np.ndarra
     return circuit_state(loss_encoded_state(inst, f), m)
 
 
+def phase_law(state: np.ndarray) -> np.ndarray:
+    """Outcome law of the phase register of a circuit state: |z|^2 summed over the system axis."""
+    mag = np.abs(state)
+    return np.square(mag, out=mag).sum(axis=1)  # beside the state, only |z| as one half-size array
+
+
 def simulate_ae_distribution(inst: ProblemInstance, f: Hypothesis, m: int) -> np.ndarray:
     """Exact probabilities of each phase-register outcome y."""
-    mag = np.abs(simulate_ae_state(inst, f, m))
-    return np.square(mag, out=mag).sum(axis=1)  # beside the state, only |z| as one half-size array
+    return phase_law(simulate_ae_state(inst, f, m))
 
 
 def draw_outcome(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:

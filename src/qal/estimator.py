@@ -154,6 +154,8 @@ def estimate_batch(
     idx = np.asarray(rows)
     if idx.ndim != 1 or not idx.size or idx.dtype.kind not in "iu" or not 0 <= idx.min() <= idx.max() < len(inst.hypotheses):
         raise ValidationError(f"rows: must be a nonempty list of class rows in 0..{len(inst.hypotheses) - 1}, got {rows!r:.60}")
+    if engine not in ENGINE_MODES:
+        raise ValidationError(f"engine: must be one of {ENGINE_MODES}, got {engine!r}")
     m, reps = schedule(inst, epsilon, delta)
 
     law_of = inst.distinct_row[rows]

@@ -64,6 +64,7 @@ def learn(
     takes its repetitions from row i of one (|H|, R) matrix of uniform
     deviates drawn from rng.
     """
+    eps_h, delta_h = allocate_budget(len(inst.hypotheses), epsilon, delta)
     if epsilon >= EPSILON_GUARANTEE_LIMIT:
         warnings.warn(
             f"epsilon={epsilon} is outside the guaranteed range (0, {EPSILON_GUARANTEE_LIMIT}); "
@@ -76,7 +77,6 @@ def learn(
             "the learner still runs but no confidence guarantee is claimed",
             stacklevel=2,
         )
-    eps_h, delta_h = allocate_budget(len(inst.hypotheses), epsilon, delta)
     batch = estimate_batch(inst, np.arange(len(inst.hypotheses)), eps_h, delta_h, rng, engine=engine)
     return LearnResult(
         chosen_id=inst.ids[int(np.argmin(batch.mu_hat))],  # the first minimum

@@ -225,6 +225,8 @@ class ProblemInstance:
                 if lengths != [len(self.y_values)] * self.x_size:
                     raise ValidationError(f"{path}: must be x_size rows of len(y_values) numbers")
                 grids.append(grid)
+            if unknown := [key for key in by_id if key not in rows]:
+                raise ValidationError(f"loss.table[{unknown[0]!r}]: names no hypothesis of the class")
             _checked_tables([tuple(chain.from_iterable(grid)) for grid in grids], paths)
             losses = np.array(grids, dtype=float)[:, x, y_index]
         else:

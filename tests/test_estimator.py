@@ -1,5 +1,6 @@
 """Mean-estimator tests: schedules, median amplification, coverage, ledgers."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,20 @@ class TestEstimateMean:
         # does not stand for the last member.
         with pytest.raises(ValidationError, match=r"^rows: .*0\.\.3"):
             estimate_batch(demo2, rows, 0.2, 0.2, rng=0)
+
+    def test_batch_rejects_an_unknown_engine_before_drawing(self):
+        # Rejected before the (|H|, R) deviate matrix is drawn, so the peak stays below its bytes.
+        inst = random_instance(1, x_size=2, y_size=2, h_size=2**16)
+        rows = np.arange(2**16)
+        matrix_bytes = len(rows) * schedule(inst, 0.1, 1e-6)[1] * 8
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=r"^engine: must be one of \('statevector', 'analytic'\), got 'bogus'$"):
+                estimate_batch(inst, rows, 0.1, 1e-6, rng=0, engine="bogus")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix_bytes
 
     def test_epsilon_must_stay_below_bound(self, demo2):
         with pytest.raises(ValueError, match="epsilon"):

@@ -81,6 +81,14 @@ class TestLearn:
         with pytest.warns(UserWarning, match="delta"):
             learn(demo2, epsilon=0.1, delta=0.6, rng=0)
 
+    @pytest.mark.parametrize("epsilon, delta, field", [(5.0, 0.1, "epsilon"), (0.05, 5.0, "delta")])
+    def test_budget_is_checked_before_the_guarantee_warnings(self, demo2, epsilon, delta, field):
+        # An invalid budget raises before any "outside the guaranteed range" warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{field} must lie in"):
+                learn(demo2, epsilon, delta, rng=0)
+
     def test_deterministic_per_seed(self, demo2):
         a = learn(demo2, epsilon=0.1, delta=0.1, rng=99)
         b = learn(demo2, epsilon=0.1, delta=0.1, rng=99)

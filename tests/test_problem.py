@@ -591,6 +591,7 @@ class TestInstanceInvariants:
             ("y_values[1]", {"y_values": (0.0, True)}),
             ("loss.table['identity']", {"loss": LossSpec("table", 1.0, table=dict.fromkeys(DEMO_IDS, 5))}),
             ("loss.table['identity']", {"loss": LossSpec("table", 1.0, table=dict.fromkeys(DEMO_IDS, (5, 5)))}),
+            ("loss.table['ghost']", {"loss": LossSpec("table", 1.0, table={**demo_table_loss(0.0).table, "ghost": ((0.0, 0.0), (0.0, 0.0))})}),
         ],
         ids=[
             "k=1", "empty-class", "duplicate-id", "short-table", "nan-table", "inf-table-at-2",
@@ -602,7 +603,7 @@ class TestInstanceInvariants:
             "half-k", "string-k", "string-x-size", "bool-x-size", "string-y-value", "bool-bound", "string-bound",
             "string-table-entry", "bool-table-entry", "int-id", "string-loss-entry", "bool-loss-entry",
             "int-class", "string-member", "int-table", "int-y-values", "string-loss", "int-loss-table",
-            "bool-y-value", "int-loss-grid", "int-loss-rows",
+            "bool-y-value", "int-loss-grid", "int-loss-rows", "loss-id-outside-the-class",
         ],
     )
     def test_replace_is_checked(self, path, fields):
@@ -707,6 +708,23 @@ class TestInstanceJsonShape:
         (tmp_path / "inst.json").write_text(json.dumps(obj))
         with pytest.raises(ValidationError, match=r"^loss\.table: required for kind 'table'$"):
             load_instance(tmp_path / "inst.json")
+
+    def test_loss_table_id_outside_the_class_is_named(self, tmp_path, capsys):
+        # A loss-table key that names no hypothesis is an unknown key, rejected as one is at any other level.
+        obj = {
+            "x_size": 2,
+            "y_values": [0, 1],
+            "k": 2,
+            "support": [{"x": x, "y": y, "p": 0.25} for x in (0, 1) for y in (0, 1)],
+            "hypotheses": [{"id": "f", "table": [0, 0]}],
+            "loss": {"kind": "table", "bound": 1, "table": {"f": [[0.5, 0], [0.25, 1]], "ghost": [[0, 0], [0, 0]]}},
+        }
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match=r"^loss\.table\['ghost'\]: names no hypothesis of the class$"):
+            load_instance(inst_path)
+        assert main(["learn", "--instance", str(inst_path), "--epsilon", "0.1", "--delta", "0.1", "--seed", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: loss.table['ghost']: ")
 
     def test_missing_field_is_named(self, repo_root, tmp_path):
         obj = demo2_json(repo_root)
