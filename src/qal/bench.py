@@ -16,7 +16,7 @@ import numpy as np
 
 from .classical import erm_learn, hoeffding_sample_size
 from .engine import CapacityError
-from .estimator import ENGINE_MODES, schedule
+from .estimator import check_engine, schedule
 from .learner import allocate_budget, learn
 from .problem import (
     RANDOM_JSON,
@@ -75,8 +75,7 @@ class BenchConfig:
                 raise ValidationError(f"{name}: must be >= {least}, got {getattr(self, name)}")
         if not len(expect(self.methods, "sequence", "methods")) or any(m not in METHODS for m in self.methods):
             raise ValidationError(f"methods: must be a nonempty subset of {METHODS}, got {self.methods}")
-        if self.engine not in ENGINE_MODES:
-            raise ValidationError(f"engine: must be one of {ENGINE_MODES}, got {self.engine!r}")
+        check_engine(self.engine)
         if (self.instance_path is None) == (self.random_spec is None):
             raise ValidationError("config: exactly one of 'instance' and 'random' must be given")
         if self.instance_path is not None:

@@ -13,11 +13,11 @@ phase register y maps to the estimate a_hat = sin^2(pi y / 2^m). The
 circuit runs on any prepared state whose last qubit is the loss ancilla,
 so registers above the data (garbage, in the self-checks) ride along.
 
-`circuit_state` builds phase row y = Q^y psi in one buffer by doubling,
-as the controlled powers do; for j >= 1, Q^(2^j) is the identity plus a
-2x2 core on psi's unmarked and marked parts, so the rows cost about
-4 * 2^m * dim for every dim. The inverse Fourier transform runs in place
-on that buffer, and `phase_law` squares |z| in place.
+`circuit_state` runs the doubling of the controlled powers in coordinates:
+every row Q^y psi is coef[y] @ P for psi's unmarked and marked parts P, so the
+doubling and the inverse Fourier transform (fft(C P) = fft(C) P) act on a
+(2^m, 2) head of the state's buffer, and the state is written once, about
+2^m * dim. `phase_law` squares |z| in place.
 
 `closed_form_ae_distribution` gives the same outcome law analytically:
 the prepared state splits evenly between two conjugate eigenvectors of
@@ -75,8 +75,14 @@ def _check_register(system_qubits: int, m: int) -> None:
         raise CapacityError(f"{system_qubits + m} qubits ({system_qubits} system, m={m}) exceed the cap of {QUBIT_CAP}")
 
 
-def _check_norm(state: np.ndarray) -> None:
-    drift = abs(np.linalg.norm(state) - 1.0)
+def _check_norm(state: np.ndarray, parts: np.ndarray | None = None) -> None:
+    """Raise if the norm of state, or of C @ parts for coordinates C = state, drifts from one."""
+    if parts is None:
+        norm = np.linalg.norm(state)
+    else:  # (C P).view(float) = R Ph for the float views R of C and Ph of (p_0, i p_0, p_1, i p_1): 4x4 products only
+        real, real_parts = state.view(float), np.array([parts[0], 1j * parts[0], parts[1], 1j * parts[1]]).view(float)
+        norm = math.sqrt(np.sum((real.T @ real) * (real_parts @ real_parts.T)))
+    drift = abs(norm - 1.0)
     if drift > NORM_TOL:
         raise RuntimeError(f"state norm drifted by {drift:.3e} (> {NORM_TOL})")
 
@@ -124,16 +130,15 @@ def circuit_state(psi: np.ndarray, m: int) -> np.ndarray:
     array has shape (2^m, psi.size): phase register value by system basis
     state. After the Hadamards and the controlled powers Q^(2^j), row y is
     exactly Q^y psi / sqrt(2^m); Q = S Z, Z the sign flip on ancilla-one
-    states and S the reflection about psi. The inverse Fourier transform
-    runs in place.
+    states and S the reflection about psi.
 
-    Row 1 is Q psi. Q rotates the plane of the parts P = ((psi + Z psi) / 2,
-    (psi - Z psi) / 2) and is -Z off it: Z P = F P with F = diag(1, -1), and
-    Q = -Z + P^T N_0 conj(P), N_0 = [[2, -2], [2, -2]]. As Z^2 = I, Q^(2^j) =
-    I + P^T N_j conj(P) for j >= 1, with N_1 = N_0 G N_0 - F N_0 - N_0 F,
-    N_(j+1) = 2 N_j + N_j G N_j and G = conj(P) P^T: phase bit j adds rows
-    [0, 2^j) times P^H N_j^T P to a copy of them. Unlike (psi, Z psi), the
-    parts stay orthogonal as the marked mass nears 0 or 1.
+    Every row lies in the plane of the parts P = ((psi + Z psi) / 2, (psi - Z psi) / 2):
+    Z P = F P, F = diag(1, -1), and S p = 2 <psi|p> psi - p. So row y is coef[y] @ P, Q
+    maps coordinates c to c (I + M_0) with M_0 = P P^H [[2, 2], [-2, -2]] - F - I, and
+    phase bit j maps coef[:2^j] through I + M_j, M_(j+1) = 2 M_j + M_j^2 (the identity in
+    Q^(2^j) is never rounded into M_j; unlike (psi, Z psi), the parts stay orthogonal as
+    the marked mass nears 0 or 1). coef heads the returned buffer; its norm through P,
+    exactly the rows', is checked before the transform, the state's after it is written.
     """
     if psi.ndim != 1 or psi.size < 2 or psi.size & (psi.size - 1):
         raise ValueError(f"psi must be a vector whose size is a power of two >= 2, got shape {psi.shape}")
@@ -143,21 +148,19 @@ def circuit_state(psi: np.ndarray, m: int) -> np.ndarray:
     _check_register(psi.size.bit_length() - 1, m)
     t = 2**m
     state = np.empty((t, psi.size), dtype=complex)
-    state[0] = psi / math.sqrt(t)  # Hadamards on the phase register
+    coef = state.reshape(-1)[: 2 * t].reshape(t, 2)  # row y is coef[y] @ parts until written
     z_psi = psi.copy()
     _apply_projector_reflection(z_psi)
-    state[1] = (2.0 * np.vdot(psi, z_psi) * psi - z_psi) / math.sqrt(t)
-    parts = np.array([psi + z_psi, psi - z_psi]) / 2.0  # unmarked and marked parts
-    parts_h = parts.conj().T
-    gram = parts.conj() @ parts.T
-    n_0 = np.array([[2.0, -2.0], [2.0, -2.0]])
-    core = n_0 @ gram @ n_0 - 4.0 * np.eye(2)  # N_1, since F N_0 + N_0 F = 4 I
-    for j in range(1, m):
-        np.matmul(state[: 2**j] @ (parts_h @ core.T), parts, out=state[2**j : 2 ** (j + 1)])
-        state[2**j : 2 ** (j + 1)] += state[: 2**j]
-        core = 2.0 * core + core @ gram @ core
-    _check_norm(state)
-    np.fft.fft(state, axis=0, norm="ortho", out=state)  # inverse Fourier transform on the phase axis, in place
+    parts = np.array([psi + z_psi, psi - z_psi]) / 2.0  # unmarked and marked parts: psi = p_0 + p_1, Z psi = p_0 - p_1
+    coef[0] = 1.0 / math.sqrt(t)  # Hadamards on the phase register
+    step = parts @ parts.conj().T @ np.array([[2.0, 2.0], [-2.0, -2.0]]) - np.diag([2.0, 0.0])  # M_0
+    for j in range(m):
+        np.matmul(coef[: 2**j], np.eye(2) + step, out=coef[2**j : 2 ** (j + 1)])
+        step = 2.0 * step + step @ step
+    _check_norm(coef, parts)
+    np.fft.fft(coef, axis=0, norm="ortho", out=coef)  # inverse Fourier transform on the phase axis: fft(C P) = fft(C) P
+    for hi in (2**j for j in range(m, -1, -1)):  # top block first: from dim 4 up, coef[hi/2 : hi] lies below its rows
+        np.matmul(coef[hi // 2 : hi], parts, out=state[hi // 2 : hi])
     _check_norm(state)
     return state
 

@@ -35,6 +35,14 @@ from .problem import Hypothesis, ProblemInstance, ValidationError, exact_risk  #
 
 ENGINE_MODES = ("statevector", "analytic")
 
+
+def check_engine(engine: str) -> str:
+    """Return engine if it names one of ENGINE_MODES; otherwise raise a ValidationError naming `engine`."""
+    if engine not in ENGINE_MODES:
+        raise ValidationError(f"engine: must be one of {ENGINE_MODES}, got {engine!r}")
+    return engine
+
+
 # Each run lands within the worst-case radius with probability >= 8/pi^2
 # =~ 0.8106; a Chernoff bound on the median then gives failure probability
 # <= exp(-2 R (8/pi^2 - 1/2)^2) =~ exp(-0.193 R), so R >= 5.2 ln(1/delta)
@@ -111,13 +119,11 @@ def median(values) -> float:
 def outcome_laws(inst: ProblemInstance, rows: Sequence[int], m: int, engine: str = "analytic") -> np.ndarray:
     """The (len(rows), 2^m) phase-register outcome laws of class rows: "statevector" runs the full circuit
     per row, "analytic" makes one closed-form call at the exact amplitudes; they agree to float precision."""
-    if engine == "statevector":
+    if check_engine(engine) == "statevector":
         return np.array([simulate_ae_distribution(inst, inst.hypotheses[i], m) for i in rows])
-    if engine == "analytic":
-        # A valid instance's risk lies in [0, bound], so a leaves [0, 1] only by round-off.
-        a = (inst.risks[rows] / inst.loss.bound).tolist()
-        return closed_form_ae_distribution(tuple([min(max(v, 0.0), 1.0) for v in a]), m)
-    raise ValueError(f"engine must be one of {ENGINE_MODES}, got {engine!r}")
+    # A valid instance's risk lies in [0, bound], so a leaves [0, 1] only by round-off.
+    a = (inst.risks[rows] / inst.loss.bound).tolist()
+    return closed_form_ae_distribution(tuple([min(max(v, 0.0), 1.0) for v in a]), m)
 
 
 def schedule(inst: ProblemInstance, epsilon: float, delta: float) -> tuple[int, int]:
@@ -154,8 +160,7 @@ def estimate_batch(
     idx = np.asarray(rows)
     if idx.ndim != 1 or not idx.size or idx.dtype.kind not in "iu" or not 0 <= idx.min() <= idx.max() < len(inst.hypotheses):
         raise ValidationError(f"rows: must be a nonempty list of class rows in 0..{len(inst.hypotheses) - 1}, got {rows!r:.60}")
-    if engine not in ENGINE_MODES:
-        raise ValidationError(f"engine: must be one of {ENGINE_MODES}, got {engine!r}")
+    check_engine(engine)
     m, reps = schedule(inst, epsilon, delta)
 
     law_of = inst.distinct_row[rows]

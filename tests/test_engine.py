@@ -222,6 +222,29 @@ class TestPhaseEstimation:
                 for state in (psi, with_garbage(psi, rng)):
                     assert np.abs(circuit_state(state, m) - literal_circuit_state(state, m)).max() <= 1e-12
 
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_matches_literal_circuit_where_coordinates_share_rows(self, m):
+        # At dim 2 a block's coordinates are its own rows, at dim 4 they end
+        # where its rows begin; row 0 overlaps its coordinates at every dim.
+        rng = np.random.default_rng(100 + m)
+        for dim in (2, 4):
+            for a in (0.0, 0.2, 0.5, 1.0):
+                psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+                psi[0::2] *= math.sqrt(1.0 - a) / np.linalg.norm(psi[0::2])
+                psi[1::2] *= math.sqrt(a) / np.linalg.norm(psi[1::2])
+                assert np.abs(circuit_state(psi, m) - literal_circuit_state(psi, m)).max() <= 1e-12
+
+    @pytest.mark.parametrize("m", [1, 2, 6])
+    def test_non_involutive_sign_flip_drifts_the_norm(self, demo2, monkeypatch, m):
+        # Z^2 != I breaks the plane of the parts; the norm checks must catch it.
+        def scaled_flip(v):
+            v[..., 1::2] *= -1.5
+
+        psi = loss_encoded_state(demo2, demo2.hypothesis("identity"))
+        monkeypatch.setattr(engine, "_apply_projector_reflection", scaled_flip)
+        with pytest.raises(RuntimeError, match="state norm drifted"):
+            circuit_state(psi, m)
+
     def test_register_over_the_cap_rejected(self, demo2):
         # One qubit over the cap: raised before any state is allocated.
         with pytest.raises(CapacityError, match="cap"):
@@ -229,11 +252,13 @@ class TestPhaseEstimation:
 
 
 class TestWorkingSet:
-    """The circuit holds one state: its rows and transform share one buffer.
+    """The circuit holds one state: its (2^m, 2) coordinates, their doubling and
+    transform live at the head of the state's buffer, which is then written
+    block by block over them.
 
-    An out-of-place transform reads 2.0 states. The bounds leave room for
-    numpy's fixed ufunc buffers (256 KiB for a strided complex operand), an
-    eighth of the wide state below.
+    A separate coordinate buffer reads 1 + 2 / dim states (1.25 at dim 8), and
+    an out-of-place transform of the state 2.0. The bounds leave room for
+    numpy's fixed buffers; the law adds |z|, one half-size real array.
     """
 
     # Deep-narrow dim 8 at m = 12 and shallow-wide dim 128 at m = 10. Both take

@@ -12,6 +12,7 @@ from qal.estimator import (
     estimate_batch,
     estimate_mean,
     median,
+    outcome_laws,
     phase_bits_for_accuracy,
     repetitions_for_confidence,
     schedule,
@@ -225,6 +226,11 @@ class TestEstimateMean:
         finally:
             tracemalloc.stop()
         assert peak < matrix_bytes
+
+    def test_outcome_laws_names_an_unknown_engine(self, demo2):
+        # The one engine rule: outcome_laws raises the same ValidationError as estimate_batch.
+        with pytest.raises(ValidationError, match=r"^engine: must be one of \('statevector', 'analytic'\), got 'bogus'$"):
+            outcome_laws(demo2, [0], 3, "bogus")
 
     def test_epsilon_must_stay_below_bound(self, demo2):
         with pytest.raises(ValueError, match="epsilon"):
