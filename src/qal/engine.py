@@ -83,7 +83,7 @@ def _check_norm(state: np.ndarray, parts: np.ndarray | None = None) -> None:
         real, real_parts = state.view(float), np.array([parts[0], 1j * parts[0], parts[1], 1j * parts[1]]).view(float)
         norm = math.sqrt(np.sum((real.T @ real) * (real_parts @ real_parts.T)))
     drift = abs(norm - 1.0)
-    if drift > NORM_TOL:
+    if not drift <= NORM_TOL:  # a NaN norm fails too
         raise RuntimeError(f"state norm drifted by {drift:.3e} (> {NORM_TOL})")
 
 

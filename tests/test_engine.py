@@ -208,11 +208,13 @@ class TestPhaseEstimation:
             assert state.shape == reference.shape
             assert np.abs(state - reference).max() <= 1e-12
 
-    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("m", range(1, 11))
     def test_matches_literal_circuit_across_amplitudes_and_dims(self, m):
         # Marked mass a from 0 to 1, so one part of the state can be all
         # zeros or nearly so, on dims 2 to 1024 with and without garbage;
         # the widest states run at the shallow depths to keep the reference cheap.
+        # At dim 2 a block's coordinates are its own rows, at dim 4 they end
+        # where its rows begin, and row 0 overlaps its coordinates at every dim.
         rng = np.random.default_rng(m)
         for a in (0.0, 1e-300, 1e-9, 0.3, 0.5, 1.0 - 1e-12, 1.0):
             for dim in (2**e for e in range(1, 11) if 2**e * 2**m <= 2**14):
@@ -222,27 +224,16 @@ class TestPhaseEstimation:
                 for state in (psi, with_garbage(psi, rng)):
                     assert np.abs(circuit_state(state, m) - literal_circuit_state(state, m)).max() <= 1e-12
 
-    @pytest.mark.parametrize("m", range(1, 11))
-    def test_matches_literal_circuit_where_coordinates_share_rows(self, m):
-        # At dim 2 a block's coordinates are its own rows, at dim 4 they end
-        # where its rows begin; row 0 overlaps its coordinates at every dim.
-        rng = np.random.default_rng(100 + m)
-        for dim in (2, 4):
-            for a in (0.0, 0.2, 0.5, 1.0):
-                psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-                psi[0::2] *= math.sqrt(1.0 - a) / np.linalg.norm(psi[0::2])
-                psi[1::2] *= math.sqrt(a) / np.linalg.norm(psi[1::2])
-                assert np.abs(circuit_state(psi, m) - literal_circuit_state(psi, m)).max() <= 1e-12
-
-    @pytest.mark.parametrize("m", [1, 2, 6])
+    @pytest.mark.parametrize("m", [1, 2, 6, 12])
     def test_non_involutive_sign_flip_drifts_the_norm(self, demo2, monkeypatch, m):
-        # Z^2 != I breaks the plane of the parts; the norm checks must catch it.
+        # Z^2 != I breaks the plane of the parts; the norm checks must catch
+        # it, also at m = 12, where the rows overflow and the norm is NaN.
         def scaled_flip(v):
             v[..., 1::2] *= -1.5
 
         psi = loss_encoded_state(demo2, demo2.hypothesis("identity"))
         monkeypatch.setattr(engine, "_apply_projector_reflection", scaled_flip)
-        with pytest.raises(RuntimeError, match="state norm drifted"):
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="state norm drifted"):
             circuit_state(psi, m)
 
     def test_register_over_the_cap_rejected(self, demo2):
