@@ -149,7 +149,7 @@ def check_garbage_invariance(n_instances: int, seed: int) -> CheckResult:
         f = inst.hypotheses[0]
         m = int(rng.integers(2, 5))
         plain = simulate_ae_distribution(inst, f, m)
-        garbled = phase_law(circuit_state(with_garbage(loss_encoded_state(inst, f), rng), m))
+        garbled = phase_law(*circuit_state(with_garbage(loss_encoded_state(inst, f), rng), m))
         worst = max(worst, _tv(plain, garbled))
     return CheckResult("garbage-invariance", worst <= TV_TOL, f"max TV = {worst:.3e}", f"TV <= {TV_TOL}")
 

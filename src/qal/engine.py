@@ -13,11 +13,10 @@ phase register y maps to the estimate a_hat = sin^2(pi y / 2^m). The
 circuit runs on any prepared state whose last qubit is the loss ancilla,
 so registers above the data (garbage, in the self-checks) ride along.
 
-`circuit_state` runs the doubling of the controlled powers in coordinates:
-every row Q^y psi is coef[y] @ P for psi's unmarked and marked parts P, so the
-doubling and the inverse Fourier transform (fft(C P) = fft(C) P) act on a
-(2^m, 2) head of the state's buffer, and the state is written once, about
-2^m * dim. `phase_law` squares |z| in place.
+`circuit_state` returns the state factored: every row Q^y psi is coef[y] @ P
+for psi's unmarked and marked parts P, so the doubling of the controlled powers
+and the inverse Fourier transform (fft(C P) = fft(C) P) act on the (2^m, 2)
+coef, and `phase_law` reads |row y|^2 from coef[y] and the parts' Gram matrix.
 
 `closed_form_ae_distribution` gives the same outcome law analytically:
 the prepared state splits evenly between two conjugate eigenvectors of
@@ -75,13 +74,19 @@ def _check_register(system_qubits: int, m: int) -> None:
         raise CapacityError(f"{system_qubits + m} qubits ({system_qubits} system, m={m}) exceed the cap of {QUBIT_CAP}")
 
 
+def _real_gram(parts: np.ndarray) -> np.ndarray:
+    """Gram matrix G of the float views of (p_0, i p_0, p_1, i p_1): |(C P)[y]|^2 = R[y] G R[y]^T, R = C.view(float)."""
+    (g00, g01), (_, g11) = (parts.conj()[:, None] * parts).sum(axis=2).tolist()  # pairwise; BLAS rounds to 1e-15
+    x, y = g01.real, g01.imag  # <a p_i, b p_j> is Re(conj(a) b p_i^H p_j); g01 may be nonzero
+    return np.array([[g00.real, 0.0, x, -y], [0.0, g00.real, y, x], [x, y, g11.real, 0.0], [-y, x, 0.0, g11.real]])
+
+
 def _check_norm(state: np.ndarray, parts: np.ndarray | None = None) -> None:
     """Raise if the norm of state, or of C @ parts for coordinates C = state, drifts from one."""
     if parts is None:
         norm = np.linalg.norm(state)
-    else:  # (C P).view(float) = R Ph for the float views R of C and Ph of (p_0, i p_0, p_1, i p_1): 4x4 products only
-        real, real_parts = state.view(float), np.array([parts[0], 1j * parts[0], parts[1], 1j * parts[1]]).view(float)
-        norm = math.sqrt(np.sum((real.T @ real) * (real_parts @ real_parts.T)))
+    else:  # 4x4 products only
+        norm = math.sqrt(np.sum((state.view(float).T @ state.view(float)) * _real_gram(parts)))
     drift = abs(norm - 1.0)
     if not drift <= NORM_TOL:  # a NaN norm fails too
         raise RuntimeError(f"state norm drifted by {drift:.3e} (> {NORM_TOL})")
@@ -121,24 +126,20 @@ def _apply_projector_reflection(v: np.ndarray) -> None:
     v[..., 1::2] *= -1.0
 
 
-def circuit_state(psi: np.ndarray, m: int) -> np.ndarray:
-    """Run the phase-estimation circuit on psi; return the pre-measurement state.
+def circuit_state(psi: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Run the phase-estimation circuit on psi; return the pre-measurement state as (coef, parts).
 
-    psi is a normalized prepared state whose last qubit is the loss
-    ancilla; a psi whose size is not a power of two >= 2, or whose norm is
-    not one, raises ValueError before any state is allocated. The returned
-    array has shape (2^m, psi.size): phase register value by system basis
-    state. After the Hadamards and the controlled powers Q^(2^j), row y is
-    exactly Q^y psi / sqrt(2^m); Q = S Z, Z the sign flip on ancilla-one
-    states and S the reflection about psi.
+    psi is a normalized prepared state whose last qubit is the loss ancilla; a psi whose size is not
+    a power of two >= 2, or whose norm is not one, raises ValueError before any array is allocated.
+    Row y of the state, phase register value y by system basis state, is coef[y] @ parts for coef of
+    shape (2^m, 2). After the Hadamards and the controlled powers Q^(2^j), row y is exactly
+    Q^y psi / sqrt(2^m); Q = S Z, Z the sign flip on ancilla-one states and S the reflection about psi.
 
-    Every row lies in the plane of the parts P = ((psi + Z psi) / 2, (psi - Z psi) / 2):
-    Z P = F P, F = diag(1, -1), and S p = 2 <psi|p> psi - p. So row y is coef[y] @ P, Q
-    maps coordinates c to c (I + M_0) with M_0 = P P^H [[2, 2], [-2, -2]] - F - I, and
-    phase bit j maps coef[:2^j] through I + M_j, M_(j+1) = 2 M_j + M_j^2 (the identity in
-    Q^(2^j) is never rounded into M_j; unlike (psi, Z psi), the parts stay orthogonal as
-    the marked mass nears 0 or 1). coef heads the returned buffer; its norm through P,
-    exactly the rows', is checked before the transform, the state's after it is written.
+    Every row lies in the plane of the parts P = ((psi + Z psi) / 2, (psi - Z psi) / 2): Z P = F P,
+    F = diag(1, -1), and S p = 2 <psi|p> psi - p. So Q maps coordinates c to c (I + M_0) with
+    M_0 = P P^H [[2, 2], [-2, -2]] - F - I, and phase bit j maps coef[:2^j] through I + M_j,
+    M_(j+1) = 2 M_j + M_j^2 (the identity in Q^(2^j) is never rounded into M_j; unlike (psi, Z psi),
+    the parts stay orthogonal as the marked mass nears 0 or 1).
     """
     if psi.ndim != 1 or psi.size < 2 or psi.size & (psi.size - 1):
         raise ValueError(f"psi must be a vector whose size is a power of two >= 2, got shape {psi.shape}")
@@ -147,39 +148,37 @@ def circuit_state(psi: np.ndarray, m: int) -> np.ndarray:
         raise ValueError(f"psi must be normalized, got norm {norm:.6g}")
     _check_register(psi.size.bit_length() - 1, m)
     t = 2**m
-    state = np.empty((t, psi.size), dtype=complex)
-    coef = state.reshape(-1)[: 2 * t].reshape(t, 2)  # row y is coef[y] @ parts until written
     z_psi = psi.copy()
     _apply_projector_reflection(z_psi)
     parts = np.array([psi + z_psi, psi - z_psi]) / 2.0  # unmarked and marked parts: psi = p_0 + p_1, Z psi = p_0 - p_1
+    coef = np.empty((t, 2), dtype=complex)
     coef[0] = 1.0 / math.sqrt(t)  # Hadamards on the phase register
+    eye = np.eye(2)
     step = parts @ parts.conj().T @ np.array([[2.0, 2.0], [-2.0, -2.0]]) - np.diag([2.0, 0.0])  # M_0
     for j in range(m):
-        np.matmul(coef[: 2**j], np.eye(2) + step, out=coef[2**j : 2 ** (j + 1)])
+        np.matmul(coef[: 2**j], eye + step, out=coef[2**j : 2 ** (j + 1)])
         step = 2.0 * step + step @ step
-    _check_norm(coef, parts)
     np.fft.fft(coef, axis=0, norm="ortho", out=coef)  # inverse Fourier transform on the phase axis: fft(C P) = fft(C) P
-    for hi in (2**j for j in range(m, -1, -1)):  # top block first: from dim 4 up, coef[hi/2 : hi] lies below its rows
-        np.matmul(coef[hi // 2 : hi], parts, out=state[hi // 2 : hi])
-    _check_norm(state)
-    return state
+    _check_norm(coef, parts)  # through the parts, exactly the rows' norm
+    return coef, parts
 
 
-def simulate_ae_state(inst: ProblemInstance, f: Hypothesis, m: int) -> np.ndarray:
-    """The circuit on f's loss-encoded state; the register is checked first."""
+def simulate_ae_state(inst: ProblemInstance, f: Hypothesis, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The circuit on f's loss-encoded state, as (coef, parts); the register is checked first."""
     _check_register(inst.k + 1, m)
     return circuit_state(loss_encoded_state(inst, f), m)
 
 
-def phase_law(state: np.ndarray) -> np.ndarray:
-    """Outcome law of the phase register of a circuit state: |z|^2 summed over the system axis."""
-    mag = np.abs(state)
-    return np.square(mag, out=mag).sum(axis=1)  # beside the state, only |z| as one half-size array
+def phase_law(coef: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """Outcome law of the phase register of a circuit state (coef, parts): |coef[y] @ parts|^2 for each y."""
+    quad = coef.view(float) @ _real_gram(parts)
+    quad *= coef.view(float)
+    return quad @ np.ones(4)  # R[y] G R[y]^T: it sums to the squared norm the circuit checks
 
 
 def simulate_ae_distribution(inst: ProblemInstance, f: Hypothesis, m: int) -> np.ndarray:
     """Exact probabilities of each phase-register outcome y."""
-    return phase_law(simulate_ae_state(inst, f, m))
+    return phase_law(*simulate_ae_state(inst, f, m))
 
 
 def draw_outcome(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:

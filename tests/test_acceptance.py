@@ -255,7 +255,8 @@ def test_a9_unitarity_and_marked_mass_identity():
             loss_kind=kind,
         )
         f = inst.hypotheses[trial % 2]
-        state = simulate_ae_state(inst, f, m=4)
+        coef, parts = simulate_ae_state(inst, f, m=4)
+        state = coef @ parts
         worst_norm = max(worst_norm, abs(float(np.linalg.norm(state)) - 1.0))
         mass = marked_probability(loss_encoded_state(inst, f))
         worst_mass = max(worst_mass, abs(mass - rescaled_brute_force_risk(inst, f)))
@@ -280,7 +281,8 @@ def test_a10_garbage_invariance():
         f = inst.hypotheses[0]
         m = int(rng.integers(3, 6))
         plain = simulate_ae_distribution(inst, f, m)
-        garbled_state = circuit_state(with_garbage(loss_encoded_state(inst, f), rng), m)
+        coef, parts = circuit_state(with_garbage(loss_encoded_state(inst, f), rng), m)
+        garbled_state = coef @ parts
         garbled = np.sum(np.abs(garbled_state) ** 2, axis=1)
         worst = max(worst, 0.5 * float(np.abs(plain - garbled).sum()))
     report("A10 garbage-invariance", worst <= 1e-9, f"max TV {worst:.3e} <= 1e-9", started)

@@ -21,6 +21,7 @@ from qal.engine import (
     loss_encoded_state,
     marked_probability,
     phase_estimates,
+    phase_law,
     prepare_data_state,
     run_ledger,
     simulate_ae_distribution,
@@ -38,6 +39,12 @@ def tv(p, q):
 def law(state):
     """Outcome law of the phase register of a circuit state."""
     return np.sum(np.abs(state) ** 2, axis=1)
+
+
+def expanded(circuit):
+    """The (2^m, dim) state whose row y is coef[y] @ parts, for a circuit's (coef, parts)."""
+    coef, parts = circuit
+    return coef @ parts
 
 
 def literal_circuit_state(psi, m):
@@ -60,6 +67,19 @@ def literal_circuit_state(psi, m):
             block = 2.0 * (block @ psi.conj())[:, None] * psi[None, :] - block
         state[rows] = block
     return np.fft.fft(state, axis=0, norm="ortho")
+
+
+def states_across_amplitudes_and_dims(m, max_entries):
+    """Random states of marked mass a in {0, 1e-300, 1e-9, 0.3, 0.5, 1 - 1e-12, 1}, dims 2 to 1024
+    with dim * 2^m <= max_entries, each also with a garbage register (twice the dim)."""
+    rng = np.random.default_rng(m)
+    for a in (0.0, 1e-300, 1e-9, 0.3, 0.5, 1.0 - 1e-12, 1.0):
+        for dim in (2**e for e in range(1, 11) if 2**e * 2**m <= max_entries):
+            psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            psi[0::2] *= math.sqrt(1.0 - a) / np.linalg.norm(psi[0::2])
+            psi[1::2] *= math.sqrt(a) / np.linalg.norm(psi[1::2])
+            yield psi
+            yield with_garbage(psi, rng)
 
 
 def alloc_peak(call, *args):
@@ -184,13 +204,13 @@ class TestPhaseEstimation:
         assert tv(sim, law) <= 1e-9
 
     def test_norm_drift_through_full_circuit(self, demo2):
-        state = simulate_ae_state(demo2, demo2.hypothesis("identity"), m=6)
+        state = expanded(simulate_ae_state(demo2, demo2.hypothesis("identity"), m=6))
         assert abs(np.linalg.norm(state) - 1.0) <= 1e-10
 
     def test_garbage_leaves_distribution_unchanged(self, demo2):
         f = demo2.hypothesis("identity")
         plain = simulate_ae_distribution(demo2, f, m=4)
-        garbled = law(circuit_state(with_garbage(loss_encoded_state(demo2, f), 11), 4))
+        garbled = law(expanded(circuit_state(with_garbage(loss_encoded_state(demo2, f), 11), 4)))
         assert tv(plain, garbled) <= 1e-9
 
     @pytest.mark.parametrize("garbage", [False, True])
@@ -203,7 +223,7 @@ class TestPhaseEstimation:
             psi = loss_encoded_state(inst, inst.hypotheses[m % 2])
             if garbage:
                 psi = with_garbage(psi, 5)
-            state = circuit_state(psi, m)
+            state = expanded(circuit_state(psi, m))
             reference = literal_circuit_state(psi, m)
             assert state.shape == reference.shape
             assert np.abs(state - reference).max() <= 1e-12
@@ -213,16 +233,15 @@ class TestPhaseEstimation:
         # Marked mass a from 0 to 1, so one part of the state can be all
         # zeros or nearly so, on dims 2 to 1024 with and without garbage;
         # the widest states run at the shallow depths to keep the reference cheap.
-        # At dim 2 a block's coordinates are its own rows, at dim 4 they end
-        # where its rows begin, and row 0 overlaps its coordinates at every dim.
-        rng = np.random.default_rng(m)
-        for a in (0.0, 1e-300, 1e-9, 0.3, 0.5, 1.0 - 1e-12, 1.0):
-            for dim in (2**e for e in range(1, 11) if 2**e * 2**m <= 2**14):
-                psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-                psi[0::2] *= math.sqrt(1.0 - a) / np.linalg.norm(psi[0::2])
-                psi[1::2] *= math.sqrt(a) / np.linalg.norm(psi[1::2])
-                for state in (psi, with_garbage(psi, rng)):
-                    assert np.abs(circuit_state(state, m) - literal_circuit_state(state, m)).max() <= 1e-12
+        for state in states_across_amplitudes_and_dims(m, 2**14):
+            assert np.abs(expanded(circuit_state(state, m)) - literal_circuit_state(state, m)).max() <= 1e-12
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 8, 12])
+    def test_phase_law_equals_the_expanded_state_law(self, m):
+        # The Gram form of the law against |z|^2 summed over the written state.
+        for state in states_across_amplitudes_and_dims(m, 2**18):
+            coef, parts = circuit_state(state, m)
+            assert np.abs(phase_law(coef, parts) - law(coef @ parts)).max() <= 1e-15
 
     @pytest.mark.parametrize("m", [1, 2, 6, 12])
     def test_non_involutive_sign_flip_drifts_the_norm(self, demo2, monkeypatch, m):
@@ -243,13 +262,12 @@ class TestPhaseEstimation:
 
 
 class TestWorkingSet:
-    """The circuit holds one state: its (2^m, 2) coordinates, their doubling and
-    transform live at the head of the state's buffer, which is then written
-    block by block over them.
+    """The circuit holds its (2^m, 2) coordinates and never writes the (2^m, dim) state.
 
-    A separate coordinate buffer reads 1 + 2 / dim states (1.25 at dim 8), and
-    an out-of-place transform of the state 2.0. The bounds leave room for
-    numpy's fixed buffers; the law adds |z|, one half-size real array.
+    The coordinates are 2 / dim states (0.25 at dim 8). The law adds one (2^m, 4)
+    real product, as many bytes as the coordinates, and the law itself. The state
+    bounds below leave room for numpy's fixed buffers; the coordinate bound is
+    what a written state breaks at every dim above 2.
     """
 
     # Deep-narrow dim 8 at m = 12 and shallow-wide dim 128 at m = 10. Both take
@@ -269,9 +287,22 @@ class TestWorkingSet:
 
     @pytest.mark.parametrize("path,size,m", SHAPES)
     def test_outcome_law_peak(self, path, size, m):
-        # Beside the state, only |z|: one half-size real array, squared in place.
         inst, _, state_bytes = self.instance(path, size, m)
         assert alloc_peak(simulate_ae_distribution, inst, inst.hypotheses[0], m) <= 1.6 * state_bytes
+
+    @pytest.mark.parametrize("dim,m", [(2, 12), (8, 12), (128, 10)])
+    def test_outcome_law_holds_only_coordinates(self, dim, m):
+        # 2.5 coordinate bytes (the coordinates, the (2^m, 4) product and the
+        # law read 2.26) plus a kilobyte per system entry for the parts.
+        coordinate_bytes = 2**m * 2 * np.dtype(complex).itemsize
+        if dim == 2:  # no instance has k = 0: the circuit and law of simulate_ae_distribution on a uniform psi
+            psi = np.full(dim, dim**-0.5, dtype=complex)
+            peak = alloc_peak(lambda: phase_law(*circuit_state(psi, m)))
+        else:
+            inst, psi, _ = self.instance("law", math.isqrt(dim // 2), m)
+            assert psi.size == dim
+            peak = alloc_peak(simulate_ae_distribution, inst, inst.hypotheses[0], m)
+        assert peak <= 2.5 * coordinate_bytes + 1024 * dim
 
 
 class TestClosedFormLaw:
@@ -393,7 +424,8 @@ class TestLayout:
     def test_total_and_cap(self, demo2, monkeypatch):
         f = demo2.hypothesis("identity")
         psi = loss_encoded_state(demo2, f)  # k + 1 = 3 qubits
-        assert circuit_state(psi, 5).shape == (2**5, 2**3)
+        coef, parts = circuit_state(psi, 5)
+        assert (coef.shape, parts.shape, (coef @ parts).shape) == ((2**5, 2), (2, 2**3), (2**5, 2**3))
         with pytest.raises(CapacityError, match=f"{QUBIT_CAP + 1} qubits"):
             circuit_state(psi, QUBIT_CAP - 2)
 
