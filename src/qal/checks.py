@@ -20,7 +20,7 @@ from .engine import (
     simulate_ae_distribution,
 )
 from .estimator import outcome_laws
-from .learner import argmin_risk_transfer
+from .learner import learn
 from .problem import demo_instance, exact_risk, random_instance, squared_risk_decomposition
 
 MARKED_MASS_TOL = 1e-10
@@ -154,19 +154,26 @@ def check_garbage_invariance(n_instances: int, seed: int) -> CheckResult:
     return CheckResult("garbage-invariance", worst <= TV_TOL, f"max TV = {worst:.3e}", f"TV <= {TV_TOL}")
 
 
-def check_argmin_transfer(n_triples: int, seed: int) -> CheckResult:
-    """Premise-satisfying random triples must transfer in 100% of cases."""
+def check_argmin_transfer(n_runs: int, seed: int) -> CheckResult:
+    """learn's choice is epsilon-optimal on every run whose estimates all lie within epsilon/2 of the risks."""
     rng = np.random.default_rng(seed)
-    holds = 0
-    for _ in range(n_triples):
-        size = int(rng.integers(2, 9))
-        eps = float(rng.uniform(0.01, 0.3))
-        exact = {f"h{i}": float(rng.uniform(0.0, 1.0)) for i in range(size)}
-        estimates = {k: v + float(rng.uniform(-0.95, 0.95)) * eps for k, v in exact.items()}
-        if argmin_risk_transfer(exact, estimates, eps) == "holds":
-            holds += 1
+    met = held = 0
+    for _ in range(n_runs):
+        inst = random_instance(
+            int(rng.integers(0, 2**31)),
+            x_size=int(rng.integers(2, 5)),
+            y_size=int(rng.integers(2, 4)),
+            h_size=int(rng.integers(2, 9)),
+            loss_kind=str(rng.choice(["zero_one", "squared"])),
+        )
+        epsilon = 0.1 * min(inst.loss.bound, 1.0)  # epsilon/2 stays below a squared loss's bound
+        result = learn(inst, epsilon, 0.1, rng=int(rng.integers(0, 2**31)))
+        if np.abs(result.batch.mu_hat - inst.risks).max() <= result.budget[0]:
+            met += 1
+            held += bool(inst.risks[inst.row(result.chosen_id)] <= inst.risks.min() + epsilon)
     return CheckResult(
-        "argmin-transfer", holds == n_triples, f"{holds}/{n_triples} held", "100% hold",
+        "argmin-transfer", 0 < met == held, f"{held}/{met} premise-satisfying runs held, {met}/{n_runs} met the premise",
+        "100% hold, premise met at least once",
     )
 
 
@@ -179,5 +186,5 @@ def verify(quick: bool = False) -> list[CheckResult]:
         check_ae_interval_mass((3, 4) if quick else (3, 4, 5, 6)),
         check_oracle_equivalence(3 * n, SEED + 2),
         check_garbage_invariance(2 * n, SEED + 3),
-        check_argmin_transfer(500 * n, SEED + 4),
+        check_argmin_transfer(100 * n, SEED + 4),
     ]

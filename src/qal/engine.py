@@ -35,7 +35,9 @@ import numpy as np
 
 from .problem import Hypothesis, ProblemInstance
 
-QUBIT_CAP = 24  # the full statevector of the register must fit in memory
+# A limit on the register's k + 1 + m qubits, so on the depth 2^m. No array holds 2^(k+1+m) entries: the largest
+# are the circuit's (2^m, 2) coordinates, the law's (2^m, 4) product and a batch's D x 2^m laws.
+QUBIT_CAP = 24
 NORM_TOL = 1e-10
 
 
@@ -157,7 +159,7 @@ def circuit_state(psi: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     step = parts @ parts.conj().T @ np.array([[2.0, 2.0], [-2.0, -2.0]]) - np.diag([2.0, 0.0])  # M_0
     for j in range(m):
         np.matmul(coef[: 2**j], eye + step, out=coef[2**j : 2 ** (j + 1)])
-        step = 2.0 * step + step @ step
+        step = 2.0 * step + step @ step  # the last M_m is unread, yet skipping it measured a slower fft below
     np.fft.fft(coef, axis=0, norm="ortho", out=coef)  # inverse Fourier transform on the phase axis: fft(C P) = fft(C) P
     _check_norm(coef, parts)  # through the parts, exactly the rows' norm
     return coef, parts

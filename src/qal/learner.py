@@ -4,17 +4,17 @@ Each hypothesis gets its risk estimated to half the target accuracy at a
 union-bound share of the confidence budget; the returned hypothesis is the
 argmin of one columnar batch of estimates. When every estimate is within
 epsilon/2 of its exact risk, the argmin's exact risk is within epsilon of
-the class optimum; that reduction is deterministic and exposed for testing.
+the class optimum; `qal verify` checks that reduction on learn's own runs.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
+from .engine import CapacityError
 from .estimator import BatchEstimate, EstimateResult, estimate_batch
 from .estimator import estimate_mean  # noqa: F401  (benchmark/run.py traces learner.estimate_mean by name)
 from .problem import ProblemInstance
@@ -62,7 +62,8 @@ def learn(
     Ties break toward the lower hypothesis index. The class is estimated
     as one estimate_batch at the per-hypothesis budget on rng: hypothesis i
     takes its repetitions from row i of one (|H|, R) matrix of uniform
-    deviates drawn from rng.
+    deviates drawn from rng. When the schedule rejects a share, the error
+    names the epsilon or delta passed and the share before the rule.
     """
     eps_h, delta_h = allocate_budget(len(inst.hypotheses), epsilon, delta)
     if epsilon >= EPSILON_GUARANTEE_LIMIT:
@@ -77,7 +78,15 @@ def learn(
             "the learner still runs but no confidence guarantee is claimed",
             stacklevel=2,
         )
-    batch = estimate_batch(inst, np.arange(len(inst.hypotheses)), eps_h, delta_h, rng, engine=engine)
+    try:
+        batch = estimate_batch(inst, np.arange(len(inst.hypotheses)), eps_h, delta_h, rng, engine=engine)
+    except (ValueError, CapacityError) as e:  # the schedule's message names the share it was given
+        fault = str(e).partition(" ")[0]  # the parameter at fault, or the accuracy epsilon sets
+        if fault == "delta":
+            raise type(e)(f"delta={delta} gives delta/|H| = {delta_h} at |H|={len(inst.hypotheses)}: {e}") from None
+        if fault in ("epsilon", "accuracy"):
+            raise type(e)(f"epsilon={epsilon} gives epsilon/2 = {eps_h}: {e}") from None
+        raise
     return LearnResult(
         chosen_id=inst.ids[int(np.argmin(batch.mu_hat))],  # the first minimum
         budget=(eps_h, delta_h),
@@ -86,28 +95,3 @@ def learn(
         batch=batch,
     )
 
-
-def argmin_risk_transfer(
-    exact_risks: Mapping[str, float],
-    estimates: Mapping[str, float],
-    epsilon: float,
-) -> str:
-    """Deterministic reduction from uniform accuracy to argmin optimality.
-
-    If every estimate is within epsilon of its exact risk, the exact risk
-    of the estimate argmin is within 2 epsilon of the exact optimum; in
-    that case returns "holds" (and can never fail). If some estimate is
-    farther than epsilon, returns "premise_violated".
-    """
-    if set(exact_risks) != set(estimates):
-        raise ValueError("exact_risks and estimates must share the same keys")
-    keys = list(exact_risks)
-    if max(abs(exact_risks[k] - estimates[k]) for k in keys) > epsilon:
-        return "premise_violated"
-    chosen = min(keys, key=lambda k: estimates[k])
-    if exact_risks[chosen] <= min(exact_risks.values()) + 2.0 * epsilon:
-        return "holds"
-    raise RuntimeError(
-        "argmin transfer failed under a satisfied premise; this contradicts a "
-        "deterministic inequality chain and indicates a logic error"
-    )

@@ -1,4 +1,5 @@
 """Bench-harness tests: CSV runs, slope fitting, self-checks, CLI."""
+import dataclasses
 import json
 import math
 import re
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qal.bench as bench
+import qal.checks as checks
 import qal.engine as engine
 from qal.bench import (
     BenchConfig,
@@ -19,6 +21,7 @@ from qal.bench import (
 )
 from qal.checks import verify
 from qal.cli import main
+from qal.learner import learn
 from qal.problem import MAX_LOSS_ENTRIES, ValidationError, random_instance
 
 from conftest import json_values, mutate_json
@@ -211,6 +214,9 @@ class TestConfigValidation:
             ({"instance": None, "random": {"seed": 1, "x_size": 10**6, "y_size": 10**6, "h_size": 2}}, r"^random: "),
             # A misspelt key used to be ignored, running the defaults.
             ({"engien": "statevector"}, r"^engien: unknown field"),
+            ({"trials": 0}, r"^trials: must be >= 1, got 0$"),
+            ({"base_seed": -1}, r"^base_seed: must be >= 0, got -1$"),
+            ({"epsilons": [10**400]}, r"^epsilons\[0\]: 10{59} is too large for a float$"),
         ],
     )
     def test_bad_config_rejected_before_any_cell(self, repo_root, tmp_path, capsys, overrides, field):
@@ -369,6 +375,20 @@ class TestVerify:
         results = {r.name: r for r in verify(quick=True)}
         assert not results["ae-interval-mass"].passed
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda r: dataclasses.replace(r, chosen_id=r.ids[int(np.argmax(r.batch.mu_hat))]),
+            lambda r: dataclasses.replace(r, batch=dataclasses.replace(r.batch, mu_hat=r.batch.mu_hat + 1.0)),
+        ],
+        ids=["estimate-argmax-choice", "no-run-meets-the-premise"],
+    )
+    def test_corrupted_learn_fails_argmin_transfer(self, monkeypatch, corrupt):
+        monkeypatch.setattr(checks, "learn", lambda *args, **kwargs: corrupt(learn(*args, **kwargs)))
+        results = {r.name: r for r in verify(quick=True)}
+        assert not results["argmin-transfer"].passed
+        assert [r.name for r in results.values() if not r.passed] == ["argmin-transfer"]
+
 
 class TestCli:
     def test_estimate_outputs_json(self, repo_root, capsys):
@@ -477,6 +497,22 @@ class TestCli:
             )
             assert code == 2
             assert "finite 1/delta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "epsilon, delta, message",
+        [
+            ("0.1", "1e-308", "delta=1e-308 gives delta/|H| = 2.499999999999997e-309 at |H|=4: delta must lie in (0, 1) "
+             "with a finite 1/delta, got 2.499999999999997e-309"),
+            ("1e-8", "0.1", "epsilon=1e-08 gives epsilon/2 = 5e-09: accuracy 5e-09 needs more than 21 phase bits "
+             "(worst-case error at m=21 is 1.498e-06)"),
+        ],
+    )
+    def test_quantum_learn_rejection_names_the_value_passed(self, repo_root, capsys, epsilon, delta, message):
+        # The schedule sees the per-hypothesis share; learn adds the value the caller passed.
+        argv = ["learn", "--instance", str(repo_root / "instances" / "demo2.json"), "--epsilon", epsilon,
+                "--delta", delta, "--seed", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_out_path_that_is_a_directory_fails_before_any_cell(self, repo_root, tmp_path, capsys, monkeypatch):
         def never(*args, **kwargs):

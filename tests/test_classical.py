@@ -29,6 +29,14 @@ class TestHoeffdingSampleSize:
         with pytest.raises(ValueError, match=r"^delta=.*overflows"):
             hoeffding_sample_size(1.0, 4, 0.1, delta)
 
+    @pytest.mark.parametrize(
+        "bound, h_size, message",
+        [(0.0, 2, r"^loss bound must be positive, got 0.0$"), (1.0, 0, r"^hypothesis class size must be >= 1, got 0$")],
+    )
+    def test_rejects_degenerate_bound_or_class(self, bound, h_size, message):
+        with pytest.raises(ValueError, match=message):
+            hoeffding_sample_size(bound, h_size, 0.1, 0.1)
+
     def test_rejects_epsilon_at_or_above_bound(self):
         with pytest.raises(ValueError):
             hoeffding_sample_size(1.0, 2, 1.0, 0.1)

@@ -457,3 +457,5 @@ class TestLayout:
             simulate_ae_state(demo2, f, 0)
         with pytest.raises(ValueError, match="m >= 1"):
             circuit_state(loss_encoded_state(demo2, f), 0)
+        with pytest.raises(ValueError, match=r"^m must be >= 1, got 0$"):
+            closed_form_ae_distribution(0.5, 0)

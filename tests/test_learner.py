@@ -1,4 +1,4 @@
-"""Learner tests: budget split, argmin selection, batch streams, deterministic reduction."""
+"""Learner tests: budget split, argmin selection, batch streams."""
 import math
 import tracemalloc
 import warnings
@@ -12,7 +12,7 @@ import qal.estimator as estimator
 import qal.problem as problem
 from qal.engine import closed_form_ae_distribution, draw_outcome, phase_estimates, simulate_ae_distribution
 from qal.estimator import EstimateResult, estimate_mean, outcome_laws
-from qal.learner import allocate_budget, argmin_risk_transfer, learn
+from qal.learner import allocate_budget, learn
 from qal.problem import ProblemInstance, exact_statistics, random_instance
 
 from conftest import constant_risk_class, table_loss_instance
@@ -341,33 +341,3 @@ class TestBatchStreams:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.5
 
-
-class TestArgminRiskTransfer:
-    def test_accurate_estimates_hold(self):
-        assert argmin_risk_transfer({"a": 0.3, "b": 0.5}, {"a": 0.32, "b": 0.48}, 0.05) == "holds"
-
-    def test_gross_estimates_violate_premise(self):
-        assert (
-            argmin_risk_transfer({"a": 0.3, "b": 0.5}, {"a": 0.45, "b": 0.35}, 0.05)
-            == "premise_violated"
-        )
-
-    def test_near_tie_still_transfers(self):
-        # Estimates swap the order of two nearly tied risks; the conclusion
-        # tolerates it because 0.31 <= 0.3 + 2 * 0.05.
-        assert argmin_risk_transfer({"a": 0.3, "b": 0.31}, {"a": 0.33, "b": 0.29}, 0.05) == "holds"
-
-    def test_key_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="keys"):
-            argmin_risk_transfer({"a": 0.1}, {"b": 0.1}, 0.05)
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        risks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10),
-        fracs=st.lists(st.floats(-0.95, 0.95), min_size=10, max_size=10),
-        epsilon=st.floats(0.001, 0.4),
-    )
-    def test_premise_satisfying_triples_always_hold(self, risks, fracs, epsilon):
-        exact = {f"h{i}": r for i, r in enumerate(risks)}
-        estimates = {k: v + fracs[i] * epsilon for i, (k, v) in enumerate(exact.items())}
-        assert argmin_risk_transfer(exact, estimates, epsilon) == "holds"

@@ -642,6 +642,8 @@ class TestInstanceJsonShape:
             (("y_values", 1), True, r"y_values\[1\]"),
             (("loss",), "zero_one", "loss: expected object"),
             (("k",), "2", "k: expected integer"),
+            (("k",), 0, r"^k: must be >= 1, got 0$"),
+            (("x_size",), 0, r"^x_size: must be >= 1, got 0$"),
         ],
     )
     def test_wrong_shape_names_field(self, repo_root, tmp_path, capsys, path, value, field):
