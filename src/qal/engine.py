@@ -18,12 +18,10 @@ for psi's unmarked and marked parts P, so the doubling of the controlled powers
 and the inverse Fourier transform (fft(C P) = fft(C) P) act on the (2^m, 2)
 coef, and `phase_law` reads |row y|^2 from coef[y] and the parts' Gram matrix.
 
-`closed_form_ae_distribution` gives the same outcome law analytically:
-the prepared state splits evenly between two conjugate eigenvectors of
-the iterate, so the phase register follows an equal mixture of two
-Fejer-type kernels centered at +/- asin(sqrt(a))/pi. It serves as an
-independent oracle for the simulated path and as a fast sampler; D
-amplitudes give their D laws as one (D, 2^m) array expression.
+`closed_form_ae_distribution` gives the same outcome law analytically: the prepared state splits evenly
+between two conjugate eigenvectors of the iterate, so the phase register follows an equal mixture of two
+Fejer kernels at +/- asin(sqrt(a))/pi, the second the first reflected (y -> -y mod 2^m). It is an
+independent oracle for the simulated path and a fast sampler; D amplitudes give D laws in one array expression.
 """
 from __future__ import annotations
 
@@ -209,32 +207,34 @@ def phase_estimates(m: int) -> np.ndarray:
     return table
 
 
-def _phase_kernel(delta: np.ndarray, t: int) -> np.ndarray:
-    """Squared magnitude of the phase-estimation kernel at offset delta."""
-    num = np.sin(np.pi * t * delta) ** 2
-    den = (t * np.sin(np.pi * delta)) ** 2
-    return np.divide(num, den, out=np.ones_like(num), where=den != 0.0)
-
-
 def closed_form_ae_distribution(a: float | tuple[float, ...], m: int) -> np.ndarray:
-    """Exact outcome law of the phase register, without simulating.
-
-    Equal-weight mixture of the kernels at the two conjugate eigenphases
-    +/- asin(sqrt(a))/pi; at a in {0, 1} the phases coincide and the law
-    degenerates to a single kernel. One amplitude gives shape (2^m,), D
-    amplitudes give (D, 2^m): row d is bit for bit the law of a[d] alone,
-    since each phase is one math.asin (np.arcsin can differ in the last bit).
+    """Exact outcome law of the phase register, without simulating: with t = 2^m, t phi = n + f exactly for
+    n = round(t phi), so outcome y sits j - f from the kernel at +phi, j = y - n wrapped into [-t/2, t/2), and
+    that kernel is (sin(pi f) / (t sin(pi (j - f) / t)))^2, one sine per entry; the kernel at -phi is its
+    reflection, y -> -y mod t. One amplitude gives shape (2^m,), D give (D, 2^m), row d bit for bit a[d]'s law.
     """
     vals = np.asarray(a, dtype=float).ravel().tolist()
     if bad := [v for v in vals if not 0.0 <= v <= 1.0]:  # NaN is bad too
         raise ValueError(f"a must lie in [0, 1], got {bad[0]}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    t = 2**m
-    phi = [math.asin(math.sqrt(v)) / math.pi for v in vals]
-    # Both kernels of every law in one flat call, cheaper per law than a call each; y - (-phi) is y + phi exactly.
-    kernels = _phase_kernel((np.arange(t) / t - np.array([phi, [-p for p in phi]])[..., None]).ravel(), t)
-    return (0.5 * (kernels[: t * len(phi)] + kernels[t * len(phi) :])).reshape(np.shape(a) + (t,))
+    t, half = 2**m, 2 ** (m - 1)
+    t_phi = [t * (math.asin(math.sqrt(v)) / math.pi) for v in vals]  # math.asin: np.arcsin can differ in the last bit
+    n = [round(p) for p in t_phi]
+    f = [p - k for p, k in zip(t_phi, n)]  # |f| <= 1/2
+    x = np.subtract(((np.arange(t) - np.array(n, dtype=int)[:, None] + half) & (t - 1)) - half, np.array(f)[:, None])
+    x *= math.pi / t  # j - (t/2 + f) would round away f's low bits; an unwrapped j puts the sine's argument near pi
+    np.sin(x, out=x)
+    zero = [(d, n[d]) for d, g in enumerate(f) if g == 0.0]  # the denominator is 0 only at j = 0 of a row with f = 0
+    for z in zero:
+        x[z] = 1.0  # no 0 / 0: sin(pi f) = 0 makes the whole row 0 until the limit is set below
+    np.divide(np.array([math.sin(math.pi * g) / t for g in f])[:, None], x, out=x)  # the ratio before squaring
+    x *= x
+    for z in zero:
+        x[z] = 1.0  # the kernel's limit
+    x[:, 1:] += x[:, :0:-1]  # plus the reflected kernel; entry 0 is its own reflection
+    x[:, 1:] *= 0.5
+    return x.reshape(np.shape(a) + (t,))
 
 
 def ae_error_bound(a: float, m: int) -> float:

@@ -1,6 +1,7 @@
 """State-engine tests: preparation, loss rotation, phase estimation, laws."""
 import math
 import tracemalloc
+from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
 import pytest
@@ -80,6 +81,39 @@ def states_across_amplitudes_and_dims(m, max_entries):
             psi[1::2] *= math.sqrt(a) / np.linalg.norm(psi[1::2])
             yield psi
             yield with_garbage(psi, rng)
+
+
+# a = 0.5 +/- 1e-15 puts t phi a hair off a quarter turn; 1e-300 and 1 - 1e-12 put phi a hair off 0 and 1/2.
+SPECIAL_AMPLITUDES = (0.0, 1e-300, 1e-9, 0.25, 0.5, 0.5 - 1e-15, 0.5 + 1e-15, 1.0 - 1e-12, 1.0)
+DECIMAL_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def decimal_sin_pi(u):
+    """sin(pi u) up to sign, by its Taylor series in the current decimal context, after reducing u to [-1/2, 1/2]."""
+    x = (u - u.to_integral_value()) * DECIMAL_PI
+    term, total, k = x, x, 1
+    while abs(term) > Decimal(10) ** (-getcontext().prec - 2):
+        term = -term * x * x / ((k + 1) * (k + 2))
+        total, k = total + term, k + 2
+    return total
+
+
+def decimal_law(a, m):
+    """Reference law at 50 digits: (K(y/t - phi) + K(y/t + phi)) / 2, K(d) = sin^2(pi t d) / (t sin(pi d))^2.
+
+    phi is the double the engine takes, asin(sqrt(a))/pi: an exactly computed phi moves the law by up to
+    2.4e-12 at m = 8 through the rounding of asin and sqrt alone.
+    """
+    t = 2**m
+    with localcontext() as ctx:
+        ctx.prec = 50
+        phi = Decimal(math.asin(math.sqrt(a)) / math.pi)
+
+        def kernel(delta):
+            den = t * decimal_sin_pi(delta)
+            return Decimal(1) if den == 0 else (decimal_sin_pi(t * delta) / den) ** 2
+
+        return np.array([float((kernel(Decimal(y) / t - phi) + kernel(Decimal(y) / t + phi)) / 2) for y in range(t)])
 
 
 def alloc_peak(call, *args):
@@ -332,16 +366,33 @@ class TestClosedFormLaw:
         amps = (0.0, 0.5, 1.0, math.sin(math.pi / 4) ** 2, *rng.random(20).tolist(), 0.0, 1.0)
         laws = closed_form_ae_distribution(amps, m)
         assert laws.shape == (len(amps), t)
-        y = np.arange(t)
         for a, law in zip(amps, laws):
             alone = closed_form_ae_distribution(a, m)
             assert alone.shape == (t,)
             assert np.array_equal(law, alone)
-            # The one-amplitude formula, phase from math.asin: np.arcsin differs in the last bit on some a.
-            phi, kernel = math.asin(math.sqrt(a)) / math.pi, engine._phase_kernel
-            assert np.array_equal(law, 0.5 * (kernel(y / t - phi, t) + kernel(y / t + phi, t)))
         assert np.array_equal(closed_form_ae_distribution(list(amps[:3]), m), laws[:3])
         assert laws[0, 0] == laws[2, t // 2] == 1.0  # the denominator-zero entries take the kernel's limit
+
+    def test_empty_batch_has_no_rows(self):
+        assert closed_form_ae_distribution((), 3).shape == (0, 8)
+
+    @pytest.mark.parametrize("m", [6, 7, 8])
+    def test_matches_the_decimal_reference(self, m):
+        amps = (*SPECIAL_AMPLITUDES, *np.random.default_rng(m).random(3).tolist())
+        for a, law in zip(amps, closed_form_ae_distribution(amps, m)):
+            assert np.abs(law - decimal_law(a, m)).max() <= 1e-15, a
+
+    @pytest.mark.parametrize("m", [12, 16, 20, 22])
+    def test_mass_is_one(self, m):
+        for a in (*SPECIAL_AMPLITUDES, *np.random.default_rng(m).random(2).tolist()):
+            assert abs(closed_form_ae_distribution(a, m).sum() - 1.0) <= 1e-14, a
+
+    @pytest.mark.parametrize("m", range(1, 15))
+    def test_law_is_its_own_reflection(self, m):
+        # The kernels at +phi and -phi are reflections of each other, so their mixture is symmetric bit for bit.
+        t = 2**m
+        laws = closed_form_ae_distribution((*SPECIAL_AMPLITUDES, *np.random.default_rng(m).random(20).tolist()), m)
+        assert np.array_equal(laws, laws[:, -np.arange(t)])
 
     @pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, math.nan, math.inf])
     @pytest.mark.parametrize("where", [0, 2])

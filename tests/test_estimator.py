@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qal.checks import TV_TOL
 from qal.engine import CapacityError, ae_error_bound
 from qal.estimator import (
     estimate_batch,
@@ -226,6 +227,14 @@ class TestEstimateMean:
         finally:
             tracemalloc.stop()
         assert peak < matrix_bytes
+
+    @pytest.mark.parametrize("m", [8, 11, 12, 16])
+    def test_engines_agree_at_the_bench_depths(self, demo2, separation_instance, m):
+        # separation-grid runs m = 8 to 11; the circuit-engine comparisons elsewhere stop at m = 6.
+        for inst in (separation_instance, demo2):
+            rows = range(len(inst.hypotheses))
+            simulated, analytic = outcome_laws(inst, rows, m, "statevector"), outcome_laws(inst, rows, m, "analytic")
+            assert 0.5 * np.abs(simulated - analytic).sum(axis=1).max() <= TV_TOL
 
     def test_outcome_laws_names_an_unknown_engine(self, demo2):
         # The one engine rule: outcome_laws raises the same ValidationError as estimate_batch.
